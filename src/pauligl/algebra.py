@@ -6,6 +6,16 @@ the corresponding 2x2 generators, leftmost factor first.  The product of two
 basis elements is again a single basis element times a phase in
 {1, i, -1, -i}.  That phase is carried exactly, as an integer power of i, so
 multiplying basis elements involves no floating-point arithmetic at all.
+
+Coefficient tensors store multi-indices packed into one unsigned 64-bit
+*code* each: the base-4 number whose digits are the multi-index, leftmost
+factor most significant, so integer order is lexicographic order and m is at
+most 32.  Per factor, the high bit of a digit is its z bit and low ^ high its
+x bit (digit 1 is x, 3 is z, 2 is both), which is the symplectic encoding of
+Aaronson & Gottesman, "Improved simulation of stabilizer circuits" (PRA 70,
+052328, 2004).  In it the product index of two codes is their xor, and the
+product phase is i^(ny(a) + ny(b) - ny(a ^ b) + 2 |z(a) & x(b)|), where ny
+counts the digit-2 factors.
 """
 
 from __future__ import annotations
@@ -28,6 +38,12 @@ __all__ = [
     "kron",
     "basis_element",
     "validate_multi_index",
+    "pack_index",
+    "code_digits",
+    "y_counts",
+    "distinct_codes",
+    "z_bits",
+    "x_bits",
 ]
 
 #: Levi-Civita symbol on indices 0..2 with EPSILON[0, 1, 2] == +1.
@@ -154,7 +170,13 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-@functools.lru_cache(maxsize=None)
+#: Dense basis elements kept by ``basis_element``; a fixed count, so memory
+#: stays bounded when a caller walks all 4^m indices (a 2^m-side element takes
+#: 16 * 4^m bytes).
+BASIS_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _basis_element_cached(idx: tuple[int, ...]) -> np.ndarray:
     mat = _GENERATORS[idx[0]]
     for mu in idx[1:]:
@@ -166,3 +188,49 @@ def _basis_element_cached(idx: tuple[int, ...]) -> np.ndarray:
 def basis_element(idx) -> np.ndarray:
     """Dense 2^m x 2^m basis element for a multi-index (read-only, cached)."""
     return _basis_element_cached(validate_multi_index(idx))
+
+
+# -- packed codes -------------------------------------------------------------
+
+_LOW_BITS = 0x5555555555555555  # the low bit of every 2-bit digit
+
+
+def pack_index(idx: tuple[int, ...]) -> int:
+    """Base-4 code of a validated multi-index, leftmost digit most significant."""
+    code = 0
+    for mu in idx:
+        code = 4 * code + mu
+    return code
+
+
+def code_digits(codes: np.ndarray, m: int) -> np.ndarray:
+    """(len(codes), m) uint8 array of the digits of each uint64 code."""
+    shifts = np.arange(2 * (m - 1), -1, -2, dtype=np.uint64)
+    return ((codes[:, None] >> shifts) & 3).astype(np.uint8)
+
+
+def z_bits(codes: np.ndarray) -> np.ndarray:
+    """Per-factor z bits (digits 2 and 3), one at each digit's low position."""
+    return (codes >> 1) & _LOW_BITS
+
+
+def x_bits(codes: np.ndarray) -> np.ndarray:
+    """Per-factor x bits (digits 1 and 2), one at each digit's low position."""
+    return (codes ^ (codes >> 1)) & _LOW_BITS
+
+
+def y_counts(codes: np.ndarray) -> np.ndarray:
+    """Number of digit-2 factors of each code (uint8)."""
+    return np.bitwise_count(z_bits(codes) & ~codes)
+
+
+def distinct_codes(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of a code array.
+
+    Same result as np.unique, which imports numpy.ma on first use (over a
+    megabyte of resident memory for the command-line tool).
+    """
+    codes = np.sort(codes, axis=None)
+    keep = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]

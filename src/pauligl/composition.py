@@ -2,7 +2,9 @@
 
 The product of two basis elements is a single phased basis element, so the
 product of two coefficient tensors is a bilinear combination over stored
-pairs.  ``compose`` is that general path for any tensor order.
+pairs.  ``compose`` is that general path for any tensor order; it works on
+the packed codes of ``pauligl.algebra``, where the product index of two terms
+is the xor of their codes and the phase is a popcount formula.
 
 For order 2 (4x4 matrices) two closed-form paths are shipped alongside:
 ``compose_gl4`` evaluates the four component families of the product law
@@ -21,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPSILON, multi_product
-from .decomposition import DEFAULT_PRUNE_TOL, CoefficientTensor
+from .algebra import (EPSILON, Phase, distinct_codes, multi_product, x_bits,
+                      y_counts, z_bits)
+from .decomposition import DEFAULT_PRUNE_TOL, CoefficientTensor, _checked_tol
 from .errors import DimensionError, DomainError
 from .symmetry import ANTISYMMETRIC_GL4_SUPPORT
 
@@ -38,31 +41,82 @@ __all__ = [
 ]
 
 
+#: Term pairs per block of the compose kernel; its scratch arrays hold
+#: about this many entries each, whatever the sizes of the operands.
+_BLOCK_PAIRS = 8192
+
+#: Phase.to_complex() of each exponent, split into real and imaginary parts.
+_PHASE_RE = np.array([p.to_complex().real for p in Phase])
+_PHASE_IM = np.array([p.to_complex().imag for p in Phase])
+
+
+def _row_blocks(a: CoefficientTensor, b: CoefficientTensor) -> list:
+    rows = max(1, _BLOCK_PAIRS // max(len(b), 1))
+    return [slice(s, s + rows) for s in range(0, len(a), rows)]
+
+
+def _output_codes(ca: np.ndarray, cb: np.ndarray, blocks: list) -> np.ndarray:
+    """Sorted distinct codes of all products, gathered one row block at a time.
+
+    Block results wait in ``pending`` until they outnumber the codes found so
+    far, so memory stays O(block + output) and merging costs amortized
+    O(block) per block.
+    """
+    found, pending, held = np.empty(0, dtype=np.uint64), [], 0
+    for blk in blocks:
+        pending.append(distinct_codes(ca[blk, None] ^ cb))
+        held += len(pending[-1])
+        if held > len(found):
+            found, pending, held = distinct_codes(np.concatenate([found, *pending])), [], 0
+    return distinct_codes(np.concatenate([found, *pending]))
+
+
 def compose(a: CoefficientTensor, b: CoefficientTensor,
             tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
     """Coefficient-space product: reconstruct(compose(a, b)) = reconstruct(a) @ reconstruct(b).
 
-    Cost is O(nnz(a) * nnz(b)).  Terms landing on the same output index are
-    accumulated in lexicographic order over input index pairs, so results are
-    bit-deterministic.
+    Cost is O(nnz(a) * nnz(b)), evaluated in row blocks of about
+    ``_BLOCK_PAIRS`` term pairs, so scratch memory is O(block + output).
+    Each term is a * b * phase, with both complex products written out as
+    re = x.re*y.re - x.im*y.im, im = x.re*y.im + x.im*y.re, and terms landing
+    on the same output index are summed in lexicographic order over input
+    index pairs.  Results are therefore bit-deterministic, and equal bit for
+    bit to the same sum done with Python complex numbers.
     """
     if a.m != b.m:
         raise DimensionError(f"tensor orders differ: {a.m} vs {b.m}")
-    acc: dict[tuple, complex] = {}
-    for mu, av in a.coeffs.items():
-        for nu, bv in b.coeffs.items():
-            phase, lam = multi_product(mu, nu)
-            acc[lam] = acc.get(lam, 0j) + av * bv * phase.to_complex()
-    return CoefficientTensor(a.m, acc, tol=tol)
+    _checked_tol(tol)
+    ca, cb = a.codes, b.codes
+    blocks = _row_blocks(a, b)
+    out = _output_codes(ca, cb, blocks)
+    acc = np.zeros(len(out), dtype=complex)
+    # uint8 exponent arithmetic wraps mod 256, which keeps it right mod 4
+    ny_a, ny_b = y_counts(ca), y_counts(cb)
+    z_a, x_b = z_bits(ca), x_bits(cb)
+    ar, ai = a.values.real[:, None], a.values.imag[:, None]
+    br, bi = b.values.real, b.values.imag
+    # an overflow shows up as a non-finite sum, which _from_codes rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for blk in blocks:
+            prod = ca[blk, None] ^ cb
+            exponent = (ny_a[blk, None] + ny_b - y_counts(prod)
+                        + 2 * np.bitwise_count(z_a[blk, None] & x_b)) & 3
+            pr = ar[blk] * br - ai[blk] * bi
+            pi = ar[blk] * bi + ai[blk] * br
+            fr, fi = _PHASE_RE[exponent], _PHASE_IM[exponent]
+            # np.add.at applies repeated indices one after another, in pair order
+            pos = np.searchsorted(out, prod.ravel())
+            np.add.at(acc.real, pos, (pr * fr - pi * fi).ravel())
+            np.add.at(acc.imag, pos, (pr * fi + pi * fr).ravel())
+    return CoefficientTensor._from_codes(a.m, out, acc, tol)
 
 
 def _coeff_matrix(c: CoefficientTensor) -> np.ndarray:
     if c.m != 2:
         raise DimensionError(f"closed form requires tensor order 2, got {c.m}")
-    t = np.zeros((4, 4), dtype=complex)
-    for (p, q), v in c.coeffs.items():
-        t[p, q] = v
-    return t
+    t = np.zeros(16, dtype=complex)
+    t[c.codes] = c.values
+    return t.reshape(4, 4)
 
 
 def _gl4_product_array(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -96,8 +150,8 @@ def compose_gl4(a: CoefficientTensor, b: CoefficientTensor,
                 tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
     """Closed-form product for order-2 tensors; agrees with ``compose``."""
     C = _gl4_product_array(_coeff_matrix(a), _coeff_matrix(b))
-    coeffs = {(p, q): complex(C[p, q]) for p in range(4) for q in range(4)}
-    return CoefficientTensor(2, coeffs, tol=tol)
+    return CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
+                                         C.reshape(-1), tol)
 
 
 # -- antisymmetric-support closed form ---------------------------------------

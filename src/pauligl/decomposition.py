@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import cmath
 import itertools
+from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import basis_element, validate_multi_index
+from .algebra import (basis_element, code_digits, distinct_codes, pack_index,
+                      validate_multi_index)
 from .errors import DimensionError, DomainError
 
 __all__ = [
     "DEFAULT_PRUNE_TOL",
+    "MAX_ORDER",
+    "MAX_DENSE_BYTES",
     "CoefficientTensor",
     "decompose",
     "decompose_via_traces",
@@ -34,26 +38,56 @@ __all__ = [
 #: Coefficients with modulus <= this are dropped from canonical sparse form.
 DEFAULT_PRUNE_TOL = 1e-12
 
+#: Largest tensor order: a multi-index packs into one 64-bit code.
+MAX_ORDER = 32
+
+#: Largest dense (4,)*m complex array ``reconstruct`` allocates (m <= 12).
+MAX_DENSE_BYTES = 1 << 28
+
+
+def _checked_tol(tol: float) -> float:
+    # written so that NaN fails too
+    if not tol >= 0:
+        raise DomainError(f"prune tolerance must be >= 0, got {tol}")
+    return tol
+
+
+def _checked_order(m) -> int:
+    m = int(m)
+    if m < 1:
+        raise DimensionError(f"tensor order must be >= 1, got {m}")
+    if m > MAX_ORDER:
+        raise DimensionError(f"tensor order must be <= {MAX_ORDER}, got {m}")
+    return m
+
+
+def _check_dense_size(m: int) -> None:
+    nbytes = 16 * 4 ** m
+    if nbytes > MAX_DENSE_BYTES:
+        raise DimensionError(
+            f"a dense order-{m} array needs {nbytes} bytes, above the "
+            f"{MAX_DENSE_BYTES}-byte limit")
+
 
 class CoefficientTensor:
     """Sparse coefficients of one matrix over the generator basis.
 
-    Maps length-m multi-indices to complex coefficients.  Construction
-    canonicalizes: indices are validated, entries with modulus <= tol are
-    dropped, and survivors are stored in lexicographic index order.
-    Instances are treated as immutable.
+    Stored as two parallel read-only arrays: ``codes`` (uint64, strictly
+    increasing) holds the packed multi-index of each stored term (see
+    ``pauligl.algebra``) and ``values`` (complex128) its coefficient.
+    Construction canonicalizes: indices are validated, entries with modulus
+    <= tol are dropped, and survivors are sorted, which is lexicographic
+    index order.  ``coeffs`` is a read-only mapping from multi-index tuples
+    to coefficients, built on first use.  Instances are immutable.
     """
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "codes", "values", "_coeffs")
 
     def __init__(self, m: int, coeffs=None, *, tol: float = DEFAULT_PRUNE_TOL):
-        m = int(m)
-        if m < 1:
-            raise DimensionError(f"tensor order must be >= 1, got {m}")
-        if tol < 0:
-            raise DomainError(f"prune tolerance must be >= 0, got {tol}")
+        m = _checked_order(m)
+        _checked_tol(tol)
         items = coeffs.items() if hasattr(coeffs, "items") else (coeffs or ())
-        kept = {}
+        entries = {}
         for idx, value in items:
             idx = validate_multi_index(idx)
             if len(idx) != m:
@@ -62,16 +96,45 @@ class CoefficientTensor:
             value = complex(value)
             if not cmath.isfinite(value):
                 raise DomainError(f"non-finite coefficient at {idx}")
-            if abs(value) > tol:
-                kept[idx] = value
-            else:
-                kept.pop(idx, None)
-        self.m = m
-        self.coeffs = dict(sorted(kept.items()))
+            entries[pack_index(idx)] = value
+        self._assign(m, np.fromiter(entries, np.uint64, len(entries)),
+                     np.fromiter(entries.values(), complex, len(entries)), tol)
+
+    @classmethod
+    def _from_codes(cls, m: int, codes: np.ndarray, values: np.ndarray,
+                    tol: float) -> "CoefficientTensor":
+        """Build from distinct in-range uint64 codes and their values, any order."""
+        out = cls.__new__(cls)
+        out._assign(_checked_order(m), codes, values, _checked_tol(tol))
+        return out
+
+    def _assign(self, m, codes, values, tol) -> None:
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = tuple(code_digits(codes[~finite][:1], m)[0].tolist())
+            raise DomainError(f"non-finite coefficient at {bad}")
+        if np.any(codes[1:] <= codes[:-1]):
+            order = np.argsort(codes)
+            codes, values = codes[order], values[order]
+        # np.hypot is the modulus Python's abs(complex) computes
+        keep = np.hypot(values.real, values.imag) > tol
+        if not keep.all():
+            codes, values = codes[keep], values[keep]
+        codes.flags.writeable = False
+        values.flags.writeable = False
+        self.m, self.codes, self.values, self._coeffs = m, codes, values, None
 
     @classmethod
     def identity(cls, m: int) -> "CoefficientTensor":
         return cls(m, {(0,) * m: 1.0})
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only mapping: multi-index tuple -> coefficient, in index order."""
+        if self._coeffs is None:
+            keys = map(tuple, code_digits(self.codes, self.m).tolist())
+            self._coeffs = MappingProxyType(dict(zip(keys, self.values.tolist())))
+        return self._coeffs
 
     @property
     def side(self) -> int:
@@ -86,23 +149,27 @@ class CoefficientTensor:
         return frozenset(self.coeffs)
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.codes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoefficientTensor):
             return NotImplemented
-        return self.m == other.m and self.coeffs == other.coeffs
+        return (self.m == other.m and np.array_equal(self.codes, other.codes)
+                and np.array_equal(self.values, other.values))
 
     def __repr__(self) -> str:
-        return f"CoefficientTensor(m={self.m}, nnz={len(self.coeffs)})"
+        return f"CoefficientTensor(m={self.m}, nnz={len(self.codes)})"
 
 
 def coeff_distance(a: CoefficientTensor, b: CoefficientTensor) -> float:
     """Max absolute coefficient difference over the union of supports."""
     if a.m != b.m:
         raise DimensionError(f"tensor orders differ: {a.m} vs {b.m}")
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max((abs(a.coeff(k) - b.coeff(k)) for k in keys), default=0.0)
+    codes = distinct_codes(np.concatenate([a.codes, b.codes]))
+    diff = np.zeros(len(codes), dtype=complex)
+    diff[np.searchsorted(codes, a.codes)] = a.values
+    diff[np.searchsorted(codes, b.codes)] -= b.values
+    return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
 
 
 def _order_of(side: int) -> int:
@@ -171,41 +238,44 @@ def decompose(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
     """Expand a dense matrix into sparse basis coefficients.
 
     The side must be a power of two >= 2.  Coefficients with modulus <= tol
-    are omitted; ``reconstruct`` inverts the result up to tol.
+    are omitted; ``reconstruct`` inverts the result up to tol.  A non-finite
+    coefficient (from a non-finite or overflowing entry) raises DomainError.
     """
-    if tol < 0:
-        raise DomainError(f"prune tolerance must be >= 0, got {tol}")
-    c = coefficient_array(matrix)
-    m = c.ndim
+    _checked_tol(tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = coefficient_array(matrix)
     flat = c.reshape(-1)
-    keep = np.nonzero(np.abs(flat) > tol)[0]
-    coeffs = {}
-    for pos in keep:
-        idx = np.unravel_index(pos, c.shape)
-        coeffs[tuple(int(d) for d in idx)] = complex(flat[pos])
-    return CoefficientTensor(m, coeffs, tol=0.0)
+    if not np.isfinite(flat).all():
+        raise DomainError("non-finite coefficient: the matrix has a "
+                          "non-finite or overflowing entry")
+    # flat positions of the (4,)*m array are the codes
+    keep = np.flatnonzero(np.abs(flat) > tol)
+    return CoefficientTensor._from_codes(c.ndim, keep.astype(np.uint64),
+                                         flat[keep], 0.0)
 
 
 def decompose_via_traces(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
     """Reference path: evaluate c(idx) = 2^-m * Tr(basis_element(idx) @ A) per index."""
-    if tol < 0:
-        raise DomainError(f"prune tolerance must be >= 0, got {tol}")
+    _checked_tol(tol)
     a = _as_square(matrix)
     m = _order_of(a.shape[0])
     scale = 2.0 ** -m
-    coeffs = {}
-    for idx in itertools.product(range(4), repeat=m):
-        value = scale * complex(np.einsum("ij,ji->", basis_element(idx), a))
-        if abs(value) > tol:
-            coeffs[idx] = value
-    return CoefficientTensor(m, coeffs, tol=0.0)
+    # itertools.product runs through the indices in code order
+    values = np.array([scale * complex(np.einsum("ij,ji->", basis_element(idx), a))
+                       for idx in itertools.product(range(4), repeat=m)])
+    return CoefficientTensor._from_codes(m, np.arange(4 ** m, dtype=np.uint64),
+                                         values, tol)
 
 
 def reconstruct(c: CoefficientTensor) -> np.ndarray:
-    """Dense matrix equal to the coefficient-weighted sum of basis elements."""
-    dense = np.zeros((4,) * c.m, dtype=complex)
-    for idx, value in c.coeffs.items():
-        dense[idx] = value
+    """Dense matrix equal to the coefficient-weighted sum of basis elements.
+
+    Raises DimensionError when the dense array would exceed MAX_DENSE_BYTES.
+    """
+    _check_dense_size(c.m)
+    dense = np.zeros(4 ** c.m, dtype=complex)
+    dense[c.codes] = c.values
+    dense = dense.reshape((4,) * c.m)
     return _deinterleaved(_apply_along_each_axis(dense, _INVERSE, c.m), c.m)
 
 

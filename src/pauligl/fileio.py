@@ -22,8 +22,9 @@ import re
 
 import numpy as np
 
-from .decomposition import CoefficientTensor
-from .errors import FileFormatError
+from .algebra import code_digits
+from .decomposition import MAX_ORDER, CoefficientTensor
+from .errors import DimensionError, FileFormatError
 from .symmetry import QVector
 
 __all__ = [
@@ -119,10 +120,13 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def format_coefficients(c: CoefficientTensor) -> str:
-    lines = [str(c.m)]
-    for idx, v in c.coeffs.items():
-        digits = "".join(str(d) for d in idx)
-        lines.append(f"{digits} {format_real(v.real)} {format_real(v.imag)}")
+    m = c.m
+    # one m-character string per code, from its digit bytes
+    digits = (code_digits(c.codes, m) + ord("0")).view(f"S{m}").astype(str).ravel()
+    lines = [str(m)]
+    lines += [f"{d} {format_real(re)} {format_real(im)}"
+              for d, re, im in zip(digits.tolist(), c.values.real.tolist(),
+                                   c.values.imag.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -133,23 +137,27 @@ def parse_coefficients(text: str) -> CoefficientTensor:
     m = _parse_int(lines[0].strip(), 1, "tensor order")
     if m < 1:
         raise FileFormatError(f"tensor order must be >= 1, got {m}", line=1)
-    entries = {}
-    for i, raw in enumerate(lines[1:]):
-        lineno = i + 2
+    if m > MAX_ORDER:
+        raise DimensionError(f"tensor order must be <= {MAX_ORDER}, got {m}")
+    codes, values, seen = [], [], set()
+    for lineno, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
         if len(parts) != 3:
             raise FileFormatError(
                 f"expected 'INDEX re im', got {raw!r}", line=lineno)
         digits = parts[0]
-        if len(digits) != m or any(ch not in "0123" for ch in digits):
+        if len(digits) != m or digits.strip("0123"):
             raise FileFormatError(
                 f"index must be {m} digits in 0..3, got {digits!r}", line=lineno)
-        idx = tuple(int(ch) for ch in digits)
-        if idx in entries:
+        code = int(digits, 4)
+        if code in seen:
             raise FileFormatError(f"duplicate index {digits}", line=lineno)
-        entries[idx] = complex(_parse_real(parts[1], lineno),
-                               _parse_real(parts[2], lineno))
-    return CoefficientTensor(m, entries, tol=0.0)
+        seen.add(code)
+        codes.append(code)
+        values.append(complex(_parse_real(parts[1], lineno),
+                              _parse_real(parts[2], lineno)))
+    return CoefficientTensor._from_codes(m, np.array(codes, dtype=np.uint64),
+                                         np.array(values, dtype=complex), 0.0)
 
 
 def format_qvector(q: QVector) -> str:

@@ -5,7 +5,8 @@ three of the four generators are symmetric and the fourth (index 2) flips
 sign, so a Kronecker basis element is antisymmetric exactly when it contains
 an odd number of index-2 factors.  That makes the transpose a diagonal sign
 mask in coefficient space and lets symmetric/antisymmetric projection act by
-support filtering.
+support filtering, both computed from the parity of ``y_counts`` over the
+packed codes.
 
 For 4x4 antisymmetric matrices built from two real 3-vectors a and b (the
 complex combination q = a + i*b), this module also provides the conversions
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPSILON, validate_multi_index
+from .algebra import EPSILON, validate_multi_index, y_counts
 from .decomposition import DEFAULT_PRUNE_TOL, CoefficientTensor
 from .errors import DimensionError, DomainError
 
@@ -74,9 +75,9 @@ def transpose_coeffs(c: CoefficientTensor) -> CoefficientTensor:
 
     Exact involution; reconstruct(transpose_coeffs(c)) is the dense transpose.
     """
-    flipped = {idx: (-v if idx.count(2) % 2 == 1 else v)
-               for idx, v in c.coeffs.items()}
-    return CoefficientTensor(c.m, flipped, tol=0.0)
+    odd = (y_counts(c.codes) & 1).astype(bool)
+    return CoefficientTensor._from_codes(
+        c.m, c.codes, np.where(odd, -c.values, c.values), 0.0)
 
 
 def project(c: CoefficientTensor, kind: SymmetryKind) -> CoefficientTensor:
@@ -86,8 +87,8 @@ def project(c: CoefficientTensor, kind: SymmetryKind) -> CoefficientTensor:
     (antisymmetric); the two projections sum back to c.
     """
     kind = SymmetryKind(kind)
-    kept = {idx: v for idx, v in c.coeffs.items() if classify_basis(idx) is kind}
-    return CoefficientTensor(c.m, kept, tol=0.0)
+    keep = (y_counts(c.codes) & 1) == (kind is SymmetryKind.ANTISYMMETRIC)
+    return CoefficientTensor._from_codes(c.m, c.codes[keep], c.values[keep], 0.0)
 
 
 @dataclass(frozen=True)

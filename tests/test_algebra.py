@@ -7,6 +7,9 @@ from hypothesis import given, strategies as st
 from pauligl import (EPSILON, DimensionError, DomainError, Phase,
                      basis_element, kron, multi_product, pauli_matrix,
                      single_product, validate_multi_index)
+from pauligl.algebra import (BASIS_CACHE_SIZE, _basis_element_cached,
+                             code_digits, distinct_codes, pack_index, x_bits,
+                             y_counts, z_bits)
 
 from conftest import multi_indices
 
@@ -162,3 +165,62 @@ class TestValidateMultiIndex:
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
             validate_multi_index(())
+
+
+class TestBasisCache:
+    def test_cache_is_bounded(self):
+        assert _basis_element_cached.cache_info().maxsize == BASIS_CACHE_SIZE
+        assert BASIS_CACHE_SIZE is not None and BASIS_CACHE_SIZE <= 1024
+
+
+def packed_phase(code_a, code_b):
+    """Product phase from the (x, z) popcount formula on packed codes."""
+    a = np.array([code_a], dtype=np.uint64)
+    b = np.array([code_b], dtype=np.uint64)
+    exponent = (int(y_counts(a)[0]) + int(y_counts(b)[0]) - int(y_counts(a ^ b)[0])
+                + 2 * int(np.bitwise_count(z_bits(a) & x_bits(b))[0]))
+    return Phase(exponent % 4)
+
+
+class TestPackedCodes:
+    def test_digits_round_trip(self):
+        idx = (3, 0, 2, 1)
+        code = pack_index(idx)
+        assert code == int("3021", 4)
+        assert tuple(code_digits(np.array([code], dtype=np.uint64), 4)[0]) == idx
+
+    def test_code_order_is_lexicographic(self):
+        indices = list(itertools.product(range(4), repeat=3))
+        assert [pack_index(i) for i in indices] == list(range(64))
+
+    def test_largest_order(self):
+        idx = (3,) * 32
+        assert pack_index(idx) == 2 ** 64 - 1
+        codes = np.array([pack_index(idx)], dtype=np.uint64)
+        assert tuple(code_digits(codes, 32)[0]) == idx
+        assert int(y_counts(codes)[0]) == 0
+
+    def test_y_counts(self):
+        codes = np.array([pack_index(i) for i in [(2, 2, 0), (1, 2, 3), (0, 0, 0)]],
+                         dtype=np.uint64)
+        assert y_counts(codes).tolist() == [2, 1, 0]
+
+    def test_distinct_codes(self):
+        codes = np.array([5, 1, 5, 3, 1], dtype=np.uint64)
+        assert distinct_codes(codes).tolist() == [1, 3, 5]
+        assert distinct_codes(np.empty(0, dtype=np.uint64)).size == 0
+
+    def test_xor_and_phase_exhaustive_m2(self):
+        for mu in itertools.product(range(4), repeat=2):
+            for nu in itertools.product(range(4), repeat=2):
+                phase, lam = multi_product(mu, nu)
+                assert pack_index(mu) ^ pack_index(nu) == pack_index(lam)
+                assert packed_phase(pack_index(mu), pack_index(nu)) is phase
+
+    @given(st.integers(1, 32).flatmap(lambda m: st.tuples(multi_indices(m),
+                                                          multi_indices(m))))
+    def test_xor_and_phase_property(self, pair):
+        mu, nu = pair
+        phase, lam = multi_product(mu, nu)
+        assert pack_index(mu) ^ pack_index(nu) == pack_index(lam)
+        assert packed_phase(pack_index(mu), pack_index(nu)) is phase

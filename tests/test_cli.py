@@ -78,6 +78,14 @@ class TestReconstruct:
         assert code == 0
         assert np.max(np.abs(parse_matrix(out) - a)) < 1e-12
 
+    @pytest.mark.parametrize("m", [20, 40])
+    def test_oversized_order_exits_2(self, tmp_path, capsys, m):
+        for text in (f"{m}\n", f"{m}\n{'1' * m} 1 0\n"):
+            path = write(tmp_path / "big.pcoef", text)
+            code, out, err = run_cli(capsys, "reconstruct", path)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestCompose:
     @pytest.fixture
@@ -109,6 +117,11 @@ class TestCompose:
         a = write(tmp_path / "a.pcoef", "1\n1 1 0\n")
         b = write(tmp_path / "b.pcoef", "2\n20 1 0\n")
         code, _, err = run_cli(capsys, "compose", a, b)
+        assert code == 2 and "order" in err
+
+    def test_order_above_limit(self, tmp_path, capsys):
+        a = write(tmp_path / "a.pcoef", "33\n")
+        code, _, err = run_cli(capsys, "compose", a, a)
         assert code == 2 and "order" in err
 
     def test_unknown_method(self, pair, capsys):

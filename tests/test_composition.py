@@ -1,16 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor,
-                     DimensionError, DomainError, TABULATED_ANTISYM_COMPONENTS,
-                     coeff_distance, compose, compose_antisym_gl4, compose_gl4,
-                     decompose, multi_product, reconstruct,
-                     verify_closed_forms)
+from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
+                     CoefficientTensor, DimensionError, DomainError,
+                     TABULATED_ANTISYM_COMPONENTS, coeff_distance, compose,
+                     compose_antisym_gl4, compose_gl4, decompose,
+                     multi_product, reconstruct, verify_closed_forms)
 
-from conftest import coefficient_tensors, random_complex_matrix
+from conftest import (coefficient_tensors, complex_coeffs, multi_indices,
+                      random_complex_matrix)
+from reference import reference_compose
 
 ANTISYM_SORTED = sorted(ANTISYMMETRIC_GL4_SUPPORT)
 
@@ -88,6 +91,127 @@ class TestCompose:
             return
         d = coeff_distance(compose(a, b, tol=0.0), dense_product_oracle(a, b))
         assert d < 1e-10
+
+
+# values whose products and sums are exact, so that terms cancel to exactly
+# zero, plus signed zeros in either part
+exact_values = st.sampled_from([
+    1, -1, 1j, -1j, 0.5, -2, 1 + 1j,
+    complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.5),
+    complex(-1.0, -0.0)])
+
+
+@st.composite
+def composable_pairs(draw, min_m=1, max_m=3, max_terms=8):
+    m = draw(st.integers(min_m, max_m))
+    values = st.one_of(exact_values, complex_coeffs)
+    a, b = (CoefficientTensor(m, draw(st.dictionaries(multi_indices(m), values,
+                                                      max_size=max_terms)),
+                              tol=0.0)
+            for _ in range(2))
+    return a, b
+
+
+def float_bits(mapping):
+    return {idx: (v.real.hex(), v.imag.hex()) for idx, v in mapping.items()}
+
+
+def assert_matches_reference(a, b, tol):
+    got = compose(a, b, tol=tol)
+    want = reference_compose(a, b, tol)
+    assert list(got.coeffs) == list(want)
+    assert float_bits(got.coeffs) == float_bits(want)
+    return got
+
+
+class TestKernelMatchesReference:
+    """The packed kernel against the per-pair dict loop and the dense route."""
+
+    @given(composable_pairs(),
+           st.sampled_from([0.0, DEFAULT_PRUNE_TOL, 0.5, 4.0]))
+    @settings(max_examples=200)
+    def test_bit_identical_to_reference(self, pair, tol):
+        a, b = pair
+        assert_matches_reference(a, b, tol)
+
+    @given(composable_pairs())
+    @settings(max_examples=100)
+    def test_agrees_with_dense_route(self, pair):
+        a, b = pair
+        got = assert_matches_reference(a, b, 0.0)
+        scale = 1.0 + np.abs(a.values).sum() * np.abs(b.values).sum()
+        assert coeff_distance(got, dense_product_oracle(a, b)) <= 1e-13 * scale
+
+    @given(composable_pairs(min_m=32, max_m=32, max_terms=3))
+    @settings(max_examples=50)
+    def test_few_terms_at_largest_order(self, pair):
+        a, b = pair
+        assert_matches_reference(a, b, 0.0)
+
+    def test_single_terms_at_largest_order(self):
+        mu = (3, 2, 1, 0) * 8
+        nu = (2, 2, 3, 1) * 8
+        a = CoefficientTensor(32, {mu: 1.5 - 0.5j})
+        b = CoefficientTensor(32, {nu: complex(-0.0, 2.0)})
+        got = assert_matches_reference(a, b, 0.0)
+        phase, lam = multi_product(mu, nu)
+        assert list(got.coeffs) == [lam]
+
+    def test_exact_cancellation_is_pruned(self):
+        # (s1 + s2)(s1 - s2) = -2i s3: the two identity terms cancel exactly
+        a = CoefficientTensor(1, {(1,): 1, (2,): 1})
+        b = CoefficientTensor(1, {(1,): 1, (2,): -1})
+        got = assert_matches_reference(a, b, 0.0)
+        assert got.coeffs == {(3,): -2j}
+
+    def test_signed_zero_parts(self):
+        a = CoefficientTensor(2, {(1, 0): complex(-0.0, 1.0), (2, 3): complex(1.0, -0.0)})
+        b = CoefficientTensor(2, {(2, 0): complex(-1.0, -0.0), (0, 3): complex(-0.0, -1.0)})
+        assert_matches_reference(a, b, 0.0)
+        assert_matches_reference(b, a, 0.0)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_empty_operands(self, m):
+        empty = CoefficientTensor(m, {})
+        full = CoefficientTensor(m, {(1,) * m: 2.0, (0,) * m: 1j})
+        for a, b in ((empty, full), (full, empty), (empty, empty)):
+            got = assert_matches_reference(a, b, 0.0)
+            assert len(got) == 0 and got.m == m
+
+    def test_many_blocks(self, rng):
+        # 300 x 300 pairs span several row blocks
+        a = decompose(random_complex_matrix(rng, 32), 0.0)
+        b = decompose(random_complex_matrix(rng, 32), 0.0)
+        keep = rng.choice(len(a), size=300, replace=False)
+        a = CoefficientTensor._from_codes(5, a.codes[keep], a.values[keep], 0.0)
+        b = CoefficientTensor._from_codes(5, b.codes[keep], b.values[keep], 0.0)
+        assert_matches_reference(a, b, 0.0)
+
+    def test_overflow_is_rejected(self):
+        a = CoefficientTensor(1, {(1,): 1e200})
+        with pytest.raises(DomainError):
+            compose(a, a)
+        with pytest.raises(DomainError):
+            reference_compose(a, a)
+
+    def test_memory_is_bounded(self, rng):
+        # a full outer product of 1024 x 1024 codes alone would take 8 MiB
+        a = decompose(random_complex_matrix(rng, 32), 0.0)
+        b = decompose(random_complex_matrix(rng, 32), 0.0)
+        assert len(a) == len(b) == 1024
+        compose(a, CoefficientTensor.identity(5))  # first-call setup
+        tracemalloc.start()
+        try:
+            compose(a, b, tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    def test_rejects_nan_tol(self):
+        a = indicator((1,))
+        with pytest.raises(DomainError):
+            compose(a, a, tol=float("nan"))
 
 
 class TestComposeGl4:

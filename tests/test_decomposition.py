@@ -6,6 +6,9 @@ from pauligl import (CoefficientTensor, DimensionError, DomainError,
                      coeff_distance, decompose, decompose_via_traces, kron,
                      lex_local_from_global, pauli_matrix, reconstruct,
                      trace_from_coeffs)
+from pauligl.decomposition import MAX_DENSE_BYTES, MAX_ORDER
+
+NAN = float("nan")
 
 from conftest import coefficient_tensors, random_complex_matrix
 
@@ -50,6 +53,33 @@ class TestCoefficientTensor:
     def test_negative_tol(self):
         with pytest.raises(DomainError):
             CoefficientTensor(1, {}, tol=-1.0)
+
+    def test_nan_tol(self):
+        with pytest.raises(DomainError):
+            CoefficientTensor(1, {(1,): 1.0}, tol=NAN)
+
+    def test_order_ceiling(self):
+        assert MAX_ORDER == 32
+        c = CoefficientTensor(32, {(3,) * 32: 1.0, (2,) * 32: -1.0})
+        assert list(c.coeffs) == [(2,) * 32, (3,) * 32]
+        with pytest.raises(DimensionError):
+            CoefficientTensor(33, {})
+
+    def test_packed_storage(self):
+        c = CoefficientTensor(2, {(3, 1): 1.0, (0, 2): 2j})
+        assert c.codes.dtype == np.uint64 and c.codes.tolist() == [2, 13]
+        assert c.values.tolist() == [2j, 1.0]
+        assert not c.codes.flags.writeable and not c.values.flags.writeable
+
+    def test_coeffs_is_read_only(self):
+        c = CoefficientTensor(2, {(1, 1): 1.0})
+        with pytest.raises(TypeError):
+            c.coeffs[(9, 9)] = 5
+        assert c.coeffs == {(1, 1): 1.0}
+
+    def test_last_duplicate_wins(self):
+        c = CoefficientTensor(1, [((1,), 1.0), ((1,), 2.0), ((2,), 3.0), ((2,), 0.0)])
+        assert c.coeffs == {(1,): 2.0}
 
     def test_equality_and_repr(self):
         a = CoefficientTensor(1, {(2,): 1j})
@@ -146,6 +176,19 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose(np.eye(2), tol=-1e-3)
 
+    def test_rejects_nan_tol(self):
+        with pytest.raises(DomainError):
+            decompose(np.eye(2), tol=NAN)
+        with pytest.raises(DomainError):
+            decompose_via_traces(np.eye(2), tol=NAN)
+
+    def test_rejects_non_finite_entry(self):
+        for bad in (NAN, float("inf")):
+            a = np.eye(4, dtype=complex)
+            a[1, 2] = bad
+            with pytest.raises(DomainError):
+                decompose(a)
+
     @given(coefficient_tensors())
     def test_completeness(self, c):
         back = decompose(reconstruct(c), 0.0)
@@ -160,6 +203,13 @@ class TestReconstruct:
     def test_empty_is_zero(self):
         assert np.array_equal(reconstruct(CoefficientTensor(2, {})),
                               np.zeros((4, 4)))
+
+    def test_dense_size_limit(self):
+        # checked before allocating, so these fail at once
+        assert 16 * 4 ** 12 <= MAX_DENSE_BYTES < 16 * 4 ** 14
+        for m in (14, 20):
+            with pytest.raises(DimensionError):
+                reconstruct(CoefficientTensor(m, {(1,) * m: 1.0}))
 
     def test_two_term_sum(self):
         c = CoefficientTensor(2, {(1, 0): 1.0, (0, 2): 1.0})

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pauligl import CoefficientTensor, FileFormatError, QVector, decompose
+from pauligl import (CoefficientTensor, DimensionError, FileFormatError,
+                     QVector, decompose)
 from pauligl.fileio import (format_coefficients, format_matrix, format_qvector,
                             format_real, parse_coefficients, parse_matrix,
                             parse_qvector, parse_real_literal)
@@ -160,6 +161,16 @@ class TestCoefficientFiles:
     def test_wrong_field_count(self):
         with pytest.raises(FileFormatError):
             parse_coefficients("1\n2 1\n")
+
+    def test_largest_order_round_trip(self):
+        text = "32\n" + "0" * 32 + " 1 0\n" + "3" * 32 + " -0 2.5\n"
+        assert format_coefficients(parse_coefficients(text)) == text
+
+    def test_order_above_limit(self):
+        with pytest.raises(DimensionError):
+            parse_coefficients("33\n")
+        with pytest.raises(DimensionError):
+            parse_coefficients("40\n" + "1" * 40 + " 1 0\n")
 
     def test_bad_order_line(self):
         with pytest.raises(FileFormatError):
