@@ -17,8 +17,8 @@ from .composition import compose, compose_antisym_gl4, compose_gl4
 from .decomposition import DEFAULT_PRUNE_TOL, decompose, reconstruct
 from .errors import DimensionError, DomainError, FileFormatError
 from .indexing import lex_global_from_local, lex_local_from_global
-from .symmetry import (SymmetryKind, classify_basis, coeffs_to_qvector, project,
-                       qvector_to_coeffs, transpose_coeffs)
+from .symmetry import (SymmetryKind, antisymmetric_mask, coeffs_to_qvector,
+                       project, qvector_to_coeffs, transpose_coeffs)
 from .verify import run_verification
 
 __all__ = ["dispatch", "main"]
@@ -46,6 +46,17 @@ def _shape_flag(text: str) -> tuple:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"shape must be comma-separated integers, got {text!r}") from None
+
+
+def _seed_flag(text: str) -> int:
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"seed must be a non-negative integer, got {text!r}")
 
 
 def _read(path: str) -> str:
@@ -90,15 +101,12 @@ def _cmd_transpose(args, tol: float) -> int:
 
 def _cmd_classify(args, tol: float) -> int:
     c = fileio.parse_coefficients(_read(args.coeffile))
-    lines = []
-    kinds = set()
-    for idx in c.coeffs:
-        kind = classify_basis(idx)
-        kinds.add(kind)
-        lines.append(f"{''.join(str(d) for d in idx)} {kind.value}")
-    if kinds == {SymmetryKind.ANTISYMMETRIC}:
+    odd = antisymmetric_mask(c).tolist()
+    kinds = (SymmetryKind.SYMMETRIC.value, SymmetryKind.ANTISYMMETRIC.value)
+    lines = [f"{d} {kinds[o]}" for d, o in zip(fileio._digit_strings(c), odd)]
+    if odd and all(odd):
         verdict = "antisymmetric"
-    elif kinds <= {SymmetryKind.SYMMETRIC}:
+    elif not any(odd):
         verdict = "symmetric"
     else:
         verdict = "mixed"
@@ -199,7 +207,7 @@ def _build_parser() -> _Parser:
     i.set_defaults(handler=_cmd_index_to_local)
 
     p = sub.add_parser("verify", help="run the self-verification suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_flag, default=0)
     p.set_defaults(handler=_cmd_verify)
 
     return parser

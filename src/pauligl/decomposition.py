@@ -161,6 +161,15 @@ class CoefficientTensor:
         return f"CoefficientTensor(m={self.m}, nnz={len(self.codes)})"
 
 
+def _coeff_matrix(c: CoefficientTensor) -> np.ndarray:
+    """The 16 coefficients of an order-2 tensor as a 4x4 array indexed by digits."""
+    if c.m != 2:
+        raise DimensionError(f"closed form requires tensor order 2, got {c.m}")
+    t = np.zeros(16, dtype=complex)
+    t[c.codes] = c.values
+    return t.reshape(4, 4)
+
+
 def coeff_distance(a: CoefficientTensor, b: CoefficientTensor) -> float:
     """Max absolute coefficient difference over the union of supports."""
     if a.m != b.m:

@@ -38,8 +38,9 @@ __all__ = [
     "parse_qvector",
 ]
 
-_REAL_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+# re.ASCII: \d would otherwise match every Unicode decimal digit
+_REAL_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\Z", re.ASCII)
+_INT_RE = re.compile(r"[+-]?\d+\Z", re.ASCII)
 
 
 def format_real(x: float) -> str:
@@ -71,7 +72,13 @@ def _parse_real(token: str, line: int) -> float:
 def _parse_int(token: str, line: int, what: str) -> int:
     if not _INT_RE.match(token):
         raise FileFormatError(f"{what} must be an integer, got {token!r}", line=line)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        # above sys.get_int_max_str_digits() digits
+        raise FileFormatError(
+            f"{what} has {len(token)} characters, too many for an integer",
+            line=line) from None
 
 
 def _content_lines(text: str) -> list:
@@ -119,13 +126,17 @@ def parse_matrix(text: str) -> np.ndarray:
     return out
 
 
-def format_coefficients(c: CoefficientTensor) -> str:
-    m = c.m
+def _digit_strings(c: CoefficientTensor) -> list:
+    """The m-digit index string of each stored term, in storage order."""
     # one m-character string per code, from its digit bytes
-    digits = (code_digits(c.codes, m) + ord("0")).view(f"S{m}").astype(str).ravel()
-    lines = [str(m)]
+    digits = code_digits(c.codes, c.m) + ord("0")
+    return digits.view(f"S{c.m}").astype(str).ravel().tolist()
+
+
+def format_coefficients(c: CoefficientTensor) -> str:
+    lines = [str(c.m)]
     lines += [f"{d} {format_real(re)} {format_real(im)}"
-              for d, re, im in zip(digits.tolist(), c.values.real.tolist(),
+              for d, re, im in zip(_digit_strings(c), c.values.real.tolist(),
                                    c.values.imag.tolist())]
     return "\n".join(lines) + "\n"
 

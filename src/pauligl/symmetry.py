@@ -5,8 +5,9 @@ three of the four generators are symmetric and the fourth (index 2) flips
 sign, so a Kronecker basis element is antisymmetric exactly when it contains
 an odd number of index-2 factors.  That makes the transpose a diagonal sign
 mask in coefficient space and lets symmetric/antisymmetric projection act by
-support filtering, both computed from the parity of ``y_counts`` over the
-packed codes.
+support filtering.  Transpose, classification, projection and the
+antisymmetric-support checks all read one mask, ``antisymmetric_mask``: the
+parity of ``y_counts`` over the packed codes.
 
 For 4x4 antisymmetric matrices built from two real 3-vectors a and b (the
 complex combination q = a + i*b), this module also provides the conversions
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPSILON, validate_multi_index, y_counts
-from .decomposition import DEFAULT_PRUNE_TOL, CoefficientTensor
+from .algebra import EPSILON, code_digits, validate_multi_index, y_counts
+from .decomposition import DEFAULT_PRUNE_TOL, CoefficientTensor, _coeff_matrix
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "QVector",
     "ANTISYMMETRIC_GL4_SUPPORT",
     "classify_basis",
+    "antisymmetric_mask",
     "transpose_coeffs",
     "project",
     "coeffs_to_qvector",
@@ -70,14 +72,31 @@ ANTISYMMETRIC_GL4_SUPPORT = frozenset(
     if classify_basis(idx) is SymmetryKind.ANTISYMMETRIC)
 
 
+def antisymmetric_mask(c: CoefficientTensor) -> np.ndarray:
+    """``classify_basis`` for every stored term: True where the digit-2 count is odd."""
+    return (y_counts(c.codes) & 1).astype(bool)
+
+
+def _antisym_gl4_matrix(c: CoefficientTensor, operand: str) -> np.ndarray:
+    """4x4 coefficient array of an order-2 tensor on the six antisymmetric
+    indices; otherwise an error that names the tensor as ``operand``."""
+    if c.m != 2:
+        raise DimensionError(f"{operand} must have tensor order 2, got {c.m}")
+    outside = c.codes[~antisymmetric_mask(c)]
+    if len(outside):
+        indices = list(map(tuple, code_digits(outside, 2).tolist()))
+        raise DomainError(f"{operand} has support outside the six "
+                          f"antisymmetric indices: {indices}")
+    return _coeff_matrix(c)
+
+
 def transpose_coeffs(c: CoefficientTensor) -> CoefficientTensor:
     """Coefficients of the transposed matrix: sign flip per index-2 factor.
 
     Exact involution; reconstruct(transpose_coeffs(c)) is the dense transpose.
     """
-    odd = (y_counts(c.codes) & 1).astype(bool)
     return CoefficientTensor._from_codes(
-        c.m, c.codes, np.where(odd, -c.values, c.values), 0.0)
+        c.m, c.codes, np.where(antisymmetric_mask(c), -c.values, c.values), 0.0)
 
 
 def project(c: CoefficientTensor, kind: SymmetryKind) -> CoefficientTensor:
@@ -87,7 +106,7 @@ def project(c: CoefficientTensor, kind: SymmetryKind) -> CoefficientTensor:
     (antisymmetric); the two projections sum back to c.
     """
     kind = SymmetryKind(kind)
-    keep = (y_counts(c.codes) & 1) == (kind is SymmetryKind.ANTISYMMETRIC)
+    keep = antisymmetric_mask(c) == (kind is SymmetryKind.ANTISYMMETRIC)
     return CoefficientTensor._from_codes(c.m, c.codes[keep], c.values[keep], 0.0)
 
 
@@ -113,16 +132,6 @@ class QVector:
         return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
-def _antisym_components(c: CoefficientTensor) -> dict:
-    if c.m != 2:
-        raise DimensionError(f"q-vector form requires tensor order 2, got {c.m}")
-    extra = set(c.coeffs) - ANTISYMMETRIC_GL4_SUPPORT
-    if extra:
-        raise DomainError(
-            f"support outside the six antisymmetric indices: {sorted(extra)}")
-    return {idx: c.coeff(idx) for idx in sorted(ANTISYMMETRIC_GL4_SUPPORT)}
-
-
 def _require_real(value: complex, what: str) -> float:
     if abs(value.imag) > REALNESS_TOL:
         raise DomainError(
@@ -138,13 +147,13 @@ def coeffs_to_qvector(c: CoefficientTensor) -> QVector:
     above are inverted directly.  Coefficient patterns that would force a or
     b off the real axis (beyond REALNESS_TOL) are rejected.
     """
-    comp = _antisym_components(c)
-    a = (1j * (comp[(2, 1)] - comp[(1, 2)]),
-         1j * (-comp[(2, 0)] - comp[(2, 3)]),
-         1j * (comp[(0, 2)] + comp[(3, 2)]))
-    b = (-comp[(2, 1)] - comp[(1, 2)],
-         -comp[(2, 0)] + comp[(2, 3)],
-         -comp[(0, 2)] + comp[(3, 2)])
+    A = _antisym_gl4_matrix(c, "q-vector input").tolist()
+    a = (1j * (A[2][1] - A[1][2]),
+         1j * (-A[2][0] - A[2][3]),
+         1j * (A[0][2] + A[3][2]))
+    b = (-A[2][1] - A[1][2],
+         -A[2][0] + A[2][3],
+         -A[0][2] + A[3][2])
     return QVector(
         tuple(_require_real(x, f"a{k + 1}") for k, x in enumerate(a)),
         tuple(_require_real(x, f"b{k + 1}") for k, x in enumerate(b)))

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import basis_element, pauli_matrix, single_product
+from .algebra import basis_element, pack_index, pauli_matrix, single_product
 from .composition import ClosedFormReport, compose, compose_antisym_gl4, verify_closed_forms
 from .decomposition import CoefficientTensor, coeff_distance, decompose, reconstruct
 from .indexing import (BlockCuts, block_global_from_local, block_local_from_global,
                        lex_global_from_local, lex_local_from_global)
-from .symmetry import (ANTISYMMETRIC_GL4_SUPPORT, QVector, coeffs_to_qvector,
-                       qvector_to_coeffs, qvector_to_dense, transpose_coeffs)
+from .symmetry import (ANTISYMMETRIC_GL4_SUPPORT, QVector, antisymmetric_mask,
+                       coeffs_to_qvector, qvector_to_coeffs, qvector_to_dense,
+                       transpose_coeffs)
 
 __all__ = ["SuiteResult", "VerificationReport", "run_verification"]
 
@@ -134,7 +135,7 @@ def _suite_transpose(rng) -> SuiteResult:
             total += 1
             passed += err < 1e-12
             total += 1
-            passed += transpose_coeffs(transpose_coeffs(c)).coeffs == c.coeffs
+            passed += transpose_coeffs(transpose_coeffs(c)) == c
     return SuiteResult("transpose", passed, total,
                        f"worst error {worst:.3e}, bound 1e-12; involution exact")
 
@@ -214,8 +215,7 @@ def _suite_closed_form(rng) -> tuple:
         for t in sorted(ANTISYMMETRIC_GL4_SUPPORT):
             a, b = _indicator(s), _indicator(t)
             total += 1
-            passed += (compose_antisym_gl4(a, b, tol=0.0).coeffs
-                       == compose(a, b, tol=0.0).coeffs)
+            passed += compose_antisym_gl4(a, b, tol=0.0) == compose(a, b, tol=0.0)
     worst = 0.0
     for _ in range(50):
         a = CoefficientTensor(2, {i: complex(rng.standard_normal(), rng.standard_normal())
@@ -261,17 +261,18 @@ def _suite_closed_classes(rng) -> SuiteResult:
     second_slot = {(0, 0), (0, 1), (0, 2), (0, 3)}
     for support in (first_slot, second_slot):
         ordered = sorted(support)
+        codes = {pack_index(i) for i in support}
         for _ in range(100):
             a = CoefficientTensor(2, {i: complex(rng.standard_normal(), rng.standard_normal())
                                       for i in ordered}, tol=0.0)
             b = CoefficientTensor(2, {i: complex(rng.standard_normal(), rng.standard_normal())
                                       for i in ordered}, tol=0.0)
             total += 1
-            passed += set(compose(a, b, tol=0.0).coeffs) <= support
+            passed += set(compose(a, b, tol=0.0).codes.tolist()) <= codes
     # one antisymmetric-support pair escaping the six proves that class open
     escape = compose(_indicator((2, 0)), _indicator((2, 1)), tol=0.0)
     total += 1
-    passed += not (set(escape.coeffs) <= ANTISYMMETRIC_GL4_SUPPORT)
+    passed += not antisymmetric_mask(escape).all()
     return SuiteResult("closed-classes", passed, total,
                        "two closed supports, 100 pairs each; one open-class counterexample")
 

@@ -1,10 +1,12 @@
+import itertools
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from pauligl import decompose
+from pauligl import (CoefficientTensor, SymmetryKind, classify_basis, decompose,
+                     project)
 from pauligl.cli import dispatch
 from pauligl.fileio import format_coefficients, format_matrix, parse_matrix
 
@@ -67,6 +69,12 @@ class TestDecompose:
         path = write(tmp_path / "bad.cmat", "2\n1,0 0,0\n0,0 zz,0\n")
         code, _, err = run_cli(capsys, "decompose", path)
         assert code == 2 and "line 3" in err
+
+    @pytest.mark.parametrize("command", ["decompose", "reconstruct"])
+    def test_overlong_header(self, tmp_path, capsys, command):
+        path = write(tmp_path / "big.txt", "1" * 5000 + "\n")
+        code, _, err = run_cli(capsys, command, path)
+        assert code == 2 and "line 1" in err
 
 
 class TestReconstruct:
@@ -150,6 +158,28 @@ class TestTransposeClassifyProject:
         path = write(tmp_path / "c.pcoef", "2\n")
         code, out, _ = run_cli(capsys, "classify", path)
         assert code == 0 and out == "symmetric\n"
+
+    def test_classify_matches_classify_basis(self, tmp_path, capsys, rng):
+        for m in range(1, 6):
+            indices = list(itertools.product(range(4), repeat=m))
+            chosen = rng.choice(len(indices), size=min(len(indices), 20),
+                                replace=False)
+            c = CoefficientTensor(m, {indices[k]: 1.0 for k in chosen})
+            for t in (c, project(c, SymmetryKind.SYMMETRIC),
+                      project(c, SymmetryKind.ANTISYMMETRIC),
+                      CoefficientTensor(m)):
+                kinds = [classify_basis(idx) for idx in t.coeffs]
+                want = [f"{''.join(map(str, idx))} {kind.value}"
+                        for idx, kind in zip(t.coeffs, kinds)]
+                if set(kinds) == {SymmetryKind.ANTISYMMETRIC}:
+                    want.append("antisymmetric")
+                elif set(kinds) <= {SymmetryKind.SYMMETRIC}:
+                    want.append("symmetric")
+                else:
+                    want.append("mixed")
+                path = write(tmp_path / "c.pcoef", format_coefficients(t))
+                assert run_cli(capsys, "classify", path) == (
+                    0, "\n".join(want) + "\n", "")
 
     def test_project_each_kind(self, tmp_path, capsys):
         path = write(tmp_path / "c.pcoef", "2\n11 2 0\n20 1 0\n")
@@ -261,6 +291,11 @@ class TestVerifyCommand:
         assert out.startswith("verification (seed 7)\n")
         assert "overall: PASS" in out
         assert out.count("MISMATCH") == 1
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_usage_error(self, capsys, seed):
+        code, out, err = run_cli(capsys, "verify", "--seed", seed)
+        assert (code, out) == (1, "") and "non-negative integer" in err
 
 
 class TestModuleEntryPoint:

@@ -44,7 +44,8 @@ class TestFormatReal:
 
 class TestParseRealLiteral:
     @pytest.mark.parametrize("token", ["x", "1_0", "inf", "-inf", "nan",
-                                       "0x1p3", "1e", "", "1 2", "1,5"])
+                                       "0x1p3", "1e", "", "1 2", "1,5",
+                                       "\u0661.\u0665"])
     def test_rejects(self, token):
         with pytest.raises(ValueError):
             parse_real_literal(token)
@@ -177,6 +178,15 @@ class TestCoefficientFiles:
             parse_coefficients("zero\n")
         with pytest.raises(FileFormatError):
             parse_coefficients("0\n")
+
+
+@pytest.mark.parametrize("parse", [parse_matrix, parse_coefficients])
+@pytest.mark.parametrize("header", ["\u0662", "1" * 5000],
+                         ids=["arabic-indic-digit", "5000-digits"])
+def test_header_rejected_on_line_one(parse, header):
+    with pytest.raises(FileFormatError) as exc:
+        parse(header + "\n")
+    assert exc.value.line == 1
 
 
 class TestQVectorFiles:

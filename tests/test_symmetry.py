@@ -7,8 +7,9 @@ from hypothesis import given
 from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor,
                      DimensionError, DomainError, QVector, SymmetryKind,
                      basis_element, classify_basis, coeff_distance,
-                     coeffs_to_qvector, decompose, project, qvector_to_coeffs,
-                     qvector_to_dense, reconstruct, transpose_coeffs)
+                     coeffs_to_qvector, compose_antisym_gl4, decompose,
+                     project, qvector_to_coeffs, qvector_to_dense,
+                     reconstruct, transpose_coeffs)
 
 from conftest import coefficient_tensors, random_complex_matrix
 
@@ -190,3 +191,29 @@ class TestQVectorDense:
             d = coeff_distance(decompose(qvector_to_dense(q), 0.0),
                                qvector_to_coeffs(q, tol=0.0))
             assert d < 1e-12
+
+
+_ANTISYM = CoefficientTensor(2, {(2, 0): 1.0})
+
+
+class TestAntisymmetricOperandCheck:
+    CALLS = [
+        ("left factor", lambda c: compose_antisym_gl4(c, _ANTISYM)),
+        ("right factor", lambda c: compose_antisym_gl4(_ANTISYM, c)),
+        ("q-vector input", coeffs_to_qvector),
+    ]
+
+    @pytest.mark.parametrize("operand,call", CALLS, ids=[o for o, _ in CALLS])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_order(self, operand, call, m):
+        with pytest.raises(DimensionError,
+                           match=f"^{operand} must have tensor order 2, got {m}$"):
+            call(CoefficientTensor(m, {(2,) * m: 1.0}))
+
+    @pytest.mark.parametrize("operand,call", CALLS, ids=[o for o, _ in CALLS])
+    def test_support(self, operand, call):
+        c = CoefficientTensor(2, {(3, 3): 2.0, (2, 0): 1.0, (1, 1): 1.0})
+        with pytest.raises(DomainError) as exc:
+            call(c)
+        assert str(exc.value) == (f"{operand} has support outside the six "
+                                  "antisymmetric indices: [(1, 1), (3, 3)]")
