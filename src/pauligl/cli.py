@@ -40,20 +40,30 @@ def _real_flag(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _ascii_int(text: str) -> int:
+    """An integer argument, read by the file formats' rule: ASCII digits only."""
+    if fileio._INT_RE.match(text):
+        try:
+            return int(text)
+        except ValueError:  # above sys.get_int_max_str_digits() digits
+            pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 def _shape_flag(text: str) -> tuple:
     try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
+        return tuple(_ascii_int(t) for t in text.split(","))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"shape must be comma-separated integers, got {text!r}") from None
 
 
 def _seed_flag(text: str) -> int:
     try:
-        seed = int(text)
+        seed = _ascii_int(text)
         if seed >= 0:
             return seed
-    except ValueError:
+    except argparse.ArgumentTypeError:
         pass
     raise argparse.ArgumentTypeError(
         f"seed must be a non-negative integer, got {text!r}")
@@ -103,7 +113,8 @@ def _cmd_classify(args, tol: float) -> int:
     c = fileio.parse_coefficients(_read(args.coeffile))
     odd = antisymmetric_mask(c).tolist()
     kinds = (SymmetryKind.SYMMETRIC.value, SymmetryKind.ANTISYMMETRIC.value)
-    lines = [f"{d} {kinds[o]}" for d, o in zip(fileio._digit_strings(c), odd)]
+    digits = fileio._digit_strings(c.codes, c.m)
+    lines = [f"{d} {kinds[o]}" for d, o in zip(digits, odd)]
     if odd and all(odd):
         verdict = "antisymmetric"
     elif not any(odd):
@@ -199,11 +210,11 @@ def _build_parser() -> _Parser:
     i = isub.add_parser("to-global", help="per-factor indices -> flat index")
     i.add_argument("--shape", type=_shape_flag, required=True,
                    help="factor sizes, e.g. 2,2,3")
-    i.add_argument("indices", nargs="+", type=int)
+    i.add_argument("indices", nargs="+", type=_ascii_int)
     i.set_defaults(handler=_cmd_index_to_global)
     i = isub.add_parser("to-local", help="flat index -> per-factor indices")
     i.add_argument("--shape", type=_shape_flag, required=True)
-    i.add_argument("index", type=int)
+    i.add_argument("index", type=_ascii_int)
     i.set_defaults(handler=_cmd_index_to_local)
 
     p = sub.add_parser("verify", help="run the self-verification suites")

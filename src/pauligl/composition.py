@@ -112,6 +112,9 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
     return CoefficientTensor._from_codes(a.m, out, acc, tol)
 
 
+# an overflow leaves inf or nan in the result, which CoefficientTensor
+# rejects as a DomainError; numpy's warning would only echo it to stderr
+@np.errstate(over="ignore", invalid="ignore")
 def _gl4_product_array(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Four-family product law on 4x4 coefficient arrays.
 

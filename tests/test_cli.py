@@ -132,6 +132,15 @@ class TestCompose:
         code, _, err = run_cli(capsys, "compose", a, a)
         assert code == 2 and "order" in err
 
+    def test_gl4_overflow_reports_only_the_error(self, tmp_path):
+        # in a fresh process, where numpy warnings reach stderr
+        a = write(tmp_path / "a.pcoef", "2\n00 1e308 0\n11 1e308 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pauligl", "compose", a, a, "--method", "gl4"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: non-finite coefficient at (0, 0)\n"
+
     def test_unknown_method(self, pair, capsys):
         code, _, _ = run_cli(capsys, "compose", *pair, "--method", "fast")
         assert code == 1
@@ -245,6 +254,15 @@ class TestIndex:
                              "--shape", "2,x", "0", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("to-global", "--shape", "2,2", "\u0661", "0"),
+        ("to-global", "--shape", "\u0662,2", "1", "0"),
+        ("to-local", "--shape", "2,2", "\u0663"),
+    ], ids=["indices", "shape", "index"])
+    def test_non_ascii_digit_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "index", *argv)
+        assert (code, out) == (1, "") and err.startswith("error: argument")
+
     def test_factor_size_floor(self, capsys):
         code, _, _ = run_cli(capsys, "index", "to-global",
                              "--shape", "2,1", "0", "0")
@@ -292,7 +310,7 @@ class TestVerifyCommand:
         assert "overall: PASS" in out
         assert out.count("MISMATCH") == 1
 
-    @pytest.mark.parametrize("seed", ["-1", "x"])
+    @pytest.mark.parametrize("seed", ["-1", "x", "\u0663"])
     def test_bad_seed_is_usage_error(self, capsys, seed):
         code, out, err = run_cli(capsys, "verify", "--seed", seed)
         assert (code, out) == (1, "") and "non-negative integer" in err
