@@ -68,8 +68,13 @@ def _output_codes(ca: np.ndarray, cb: np.ndarray, blocks: list) -> np.ndarray:
         pending.append(distinct_codes(ca[blk, None] ^ cb))
         held += len(pending[-1])
         if held > len(found):
-            found, pending, held = distinct_codes(np.concatenate([found, *pending])), [], 0
-    return distinct_codes(np.concatenate([found, *pending]))
+            # each part is sorted and distinct, so a lone part needs no merge
+            if len(found) or len(pending) > 1:
+                found = distinct_codes(np.concatenate([found, *pending]))
+            else:
+                found = pending[0]
+            pending, held = [], 0
+    return distinct_codes(np.concatenate([found, *pending])) if pending else found
 
 
 def compose(a: CoefficientTensor, b: CoefficientTensor,

@@ -116,8 +116,10 @@ class CoefficientTensor:
         if np.any(codes[1:] <= codes[:-1]):
             order = np.argsort(codes)
             codes, values = codes[order], values[order]
-        # np.hypot is the modulus Python's abs(complex) computes
-        keep = np.hypot(values.real, values.imag) > tol
+        # np.hypot is the modulus Python's abs(complex) computes; a modulus
+        # that overflows is inf, which is kept, so its warning says nothing
+        with np.errstate(over="ignore"):
+            keep = np.hypot(values.real, values.imag) > tol
         if not keep.all():
             codes, values = codes[keep], values[keep]
         codes.flags.writeable = False
@@ -177,8 +179,10 @@ def coeff_distance(a: CoefficientTensor, b: CoefficientTensor) -> float:
     codes = distinct_codes(np.concatenate([a.codes, b.codes]))
     diff = np.zeros(len(codes), dtype=complex)
     diff[np.searchsorted(codes, a.codes)] = a.values
-    diff[np.searchsorted(codes, b.codes)] -= b.values
-    return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
+    # a difference or modulus past the largest float is inf, as it should be
+    with np.errstate(over="ignore"):
+        diff[np.searchsorted(codes, b.codes)] -= b.values
+        return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
 
 
 def _order_of(side: int) -> int:
@@ -231,9 +235,13 @@ def _deinterleaved(tensor: np.ndarray, m: int) -> np.ndarray:
 
 
 def _apply_along_each_axis(tensor: np.ndarray, mix: np.ndarray, m: int) -> np.ndarray:
-    for k in range(m):
-        tensor = np.moveaxis(np.tensordot(tensor, mix, axes=([k], [1])), -1, k)
-    return tensor
+    # Each pass mixes the leading axis and moves it to the back: t.T @ mix.T
+    # is (mix @ t).T, written C-contiguous, so the reshape is a view.  After m
+    # passes every axis has been mixed once and the order is restored.
+    t = tensor.reshape(4, -1)
+    for _ in range(m):
+        t = (t.T @ mix.T).reshape(4, -1)
+    return t.reshape((4,) * m)
 
 
 def coefficient_array(matrix) -> np.ndarray:
@@ -285,7 +293,11 @@ def reconstruct(c: CoefficientTensor) -> np.ndarray:
     dense = np.zeros(4 ** c.m, dtype=complex)
     dense[c.codes] = c.values
     dense = dense.reshape((4,) * c.m)
-    return _deinterleaved(_apply_along_each_axis(dense, _INVERSE, c.m), c.m)
+    # a sum past the largest float is inf (or nan) in the result itself;
+    # numpy's warning would only echo that to stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = _apply_along_each_axis(dense, _INVERSE, c.m)
+    return _deinterleaved(dense, c.m)
 
 
 def trace_from_coeffs(c: CoefficientTensor) -> complex:

@@ -14,6 +14,7 @@ Two families, both 0-based:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,14 +100,34 @@ def block_global_from_local(loc: BlockLocal, cuts: BlockCuts) -> tuple[int, int]
     return i, j
 
 
-def _validate_shape(shape) -> tuple[int, ...]:
+#: Distinct factor shapes whose validation the lex maps keep; a fixed count,
+#: so memory stays bounded whatever shapes callers pass.
+SHAPE_CACHE_SIZE = 128
+
+
+# Keyed on the elements with their types (typed=True), so a hit is only ever
+# an equal value of the same type: 2 and 2+0j hash alike, but int() rejects
+# the complex one.
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE, typed=True)
+def _checked_shape(*shape) -> tuple[tuple[int, ...], int]:
     shape = tuple(int(s) for s in shape)
     if not shape:
         raise DomainError("factor shape must have at least one factor")
     for s in shape:
         if s < 2:
             raise DomainError(f"factor sizes must be >= 2, got {s}")
-    return shape
+    return shape, math.prod(shape)
+
+
+def _validate_shape(shape) -> tuple[tuple[int, ...], int]:
+    """Factor sizes as ints and their product, or the DomainError/TypeError."""
+    shape = tuple(shape)
+    try:
+        return _checked_shape(*shape)
+    except TypeError:
+        pass
+    # an unhashable element is no cache key; int() decides what it raises
+    return _checked_shape.__wrapped__(*shape)
 
 
 def lex_global_from_local(locals_, shape) -> int:
@@ -124,7 +145,7 @@ def lex_global_from_local(locals_, shape) -> int:
     int
         Mixed-radix value: the last-listed factor varies fastest.
     """
-    shape = _validate_shape(shape)
+    shape, _ = _validate_shape(shape)
     locals_ = tuple(int(v) for v in locals_)
     if len(locals_) != len(shape):
         raise DomainError(
@@ -142,11 +163,11 @@ def lex_local_from_global(i: int, shape) -> tuple[int, ...]:
 
     Exact inverse of :func:`lex_global_from_local` for the same shape.
     """
-    shape = _validate_shape(shape)
+    shape, size = _validate_shape(shape)
     i = int(i)
-    if not 0 <= i < math.prod(shape):
+    if not 0 <= i < size:
         raise DomainError(
-            f"global index {i} out of range for shape of size {math.prod(shape)}")
+            f"global index {i} out of range for shape of size {size}")
     out = []
     for s in reversed(shape):
         i, v = divmod(i, s)

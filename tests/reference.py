@@ -8,6 +8,12 @@ checked and pruned the way CoefficientTensor does.  The kernel in
 
 Text files: the per-token readers and writers that ``pauligl.fileio``
 replaced with row and block chunks (see the section below).
+
+Transform: the per-axis ``tensordot`` + ``moveaxis`` pass that
+``pauligl.decomposition`` replaced with one matmul and transpose per factor.
+
+Index maps: the lexicographic maps as they were before the validated factor
+shapes were cached.
 """
 
 import cmath
@@ -18,7 +24,8 @@ import numpy as np
 
 from pauligl import (DEFAULT_PRUNE_TOL, CoefficientTensor, DimensionError,
                      DomainError, FileFormatError, multi_product)
-from pauligl.decomposition import MAX_ORDER
+from pauligl.decomposition import (_FORWARD, _INVERSE, MAX_ORDER, _as_square,
+                                   _deinterleaved, _interleaved, _order_of)
 
 
 def reference_compose(a, b, tol=DEFAULT_PRUNE_TOL) -> dict:
@@ -153,3 +160,63 @@ def reference_parse_coefficients(text):
                               _ref_real(parts[2], lineno)))
     return CoefficientTensor._from_codes(m, np.array(codes, dtype=np.uint64),
                                          np.array(values, dtype=complex), 0.0)
+
+
+# -- transform: one tensordot and moveaxis per tensor factor --
+
+def _ref_apply_along_each_axis(tensor, mix, m):
+    for k in range(m):
+        tensor = np.moveaxis(np.tensordot(tensor, mix, axes=([k], [1])), -1, k)
+    return tensor
+
+
+def reference_coefficient_array(matrix):
+    a = _as_square(matrix)
+    m = _order_of(a.shape[0])
+    return _ref_apply_along_each_axis(_interleaved(a, m), _FORWARD, m)
+
+
+def reference_reconstruct(c):
+    dense = np.zeros(4 ** c.m, dtype=complex)
+    dense[c.codes] = c.values
+    dense = dense.reshape((4,) * c.m)
+    return _deinterleaved(_ref_apply_along_each_axis(dense, _INVERSE, c.m), c.m)
+
+
+# -- index maps: every call validates its shape --
+
+def _ref_validate_shape(shape):
+    shape = tuple(int(s) for s in shape)
+    if not shape:
+        raise DomainError("factor shape must have at least one factor")
+    for s in shape:
+        if s < 2:
+            raise DomainError(f"factor sizes must be >= 2, got {s}")
+    return shape
+
+
+def reference_lex_global_from_local(locals_, shape):
+    shape = _ref_validate_shape(shape)
+    locals_ = tuple(int(v) for v in locals_)
+    if len(locals_) != len(shape):
+        raise DomainError(
+            f"expected {len(shape)} local indices, got {len(locals_)}")
+    g = 0
+    for v, s in zip(locals_, shape):
+        if not 0 <= v < s:
+            raise DomainError(f"local index {v} out of range for factor size {s}")
+        g = g * s + v
+    return g
+
+
+def reference_lex_local_from_global(i, shape):
+    shape = _ref_validate_shape(shape)
+    i = int(i)
+    if not 0 <= i < math.prod(shape):
+        raise DomainError(
+            f"global index {i} out of range for shape of size {math.prod(shape)}")
+    out = []
+    for s in reversed(shape):
+        i, v = divmod(i, s)
+        out.append(v)
+    return tuple(reversed(out))

@@ -8,9 +8,11 @@ import pytest
 from pauligl import (CoefficientTensor, SymmetryKind, classify_basis, decompose,
                      project)
 from pauligl.cli import dispatch
-from pauligl.fileio import format_coefficients, format_matrix, parse_matrix
+from pauligl.fileio import (format_coefficients, format_matrix,
+                            parse_coefficients, parse_matrix)
 
 from conftest import random_complex_matrix
+from reference import reference_reconstruct
 
 
 @pytest.fixture(autouse=True)
@@ -140,6 +142,23 @@ class TestCompose:
             capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: non-finite coefficient at (0, 0)\n"
+
+    @pytest.mark.parametrize("command, text", [
+        ("transpose", "1\n1 1.7976931348623157e308 1.7976931348623157e308\n"),
+        ("reconstruct", "1\n0 1.7e308 0\n3 1.7e308 0\n"),
+    ])
+    def test_overflow_prints_no_warning(self, tmp_path, command, text):
+        # in a fresh process, where numpy warnings reach stderr.  Transpose
+        # keeps the symmetric sigma1 term; reconstruct prints the oracle's
+        # matrix, with whatever inf and nan the BLAS makes of the overflow.
+        c = parse_coefficients(text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (format_coefficients(c) if command == "transpose"
+                   else format_matrix(reference_reconstruct(c)))
+        path = write(tmp_path / "c.pcoef", text)
+        proc = subprocess.run([sys.executable, "-m", "pauligl", command, path],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
     def test_unknown_method(self, pair, capsys):
         code, _, _ = run_cli(capsys, "compose", *pair, "--method", "fast")

@@ -1,10 +1,12 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pauligl import composition
 from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
                      CoefficientTensor, DimensionError, DomainError,
                      TABULATED_ANTISYM_COMPONENTS, coeff_distance, compose,
@@ -212,6 +214,37 @@ class TestKernelMatchesReference:
         a = indicator((1,))
         with pytest.raises(DomainError):
             compose(a, a, tol=float("nan"))
+
+
+BLOCK_PAIRS = [1, 4, 8192]
+
+
+class TestBlockSizes:
+    """Any block size gives the reference bits: blocks only split the work."""
+
+    @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+    def test_fixed_operands(self, rng, block_pairs):
+        full = decompose(random_complex_matrix(rng, 8), 0.0)
+        sparse = CoefficientTensor._from_codes(3, full.codes[::7],
+                                               full.values[::7], 0.0)
+        single = CoefficientTensor(3, {(2, 0, 3): 1.5 - 0.5j})
+        empty = CoefficientTensor(3, {})
+        # the first two rows of a give two distinct products, the next two
+        # four: a later block can hold more codes than all earlier ones
+        a = CoefficientTensor(3, {(0, 0, 0): 1, (0, 0, 1): 2, (0, 1, 0): 3j,
+                                  (0, 2, 0): -4})
+        b = CoefficientTensor(3, {(0, 0, 0): 1j, (0, 0, 1): -1})
+        pairs = [(a, b), *itertools.product([full, sparse, single, empty], repeat=2)]
+        with mock.patch.object(composition, "_BLOCK_PAIRS", block_pairs):
+            for a, b in pairs:
+                assert_matches_reference(a, b, 0.0)
+
+    @given(composable_pairs(max_terms=20), st.sampled_from(BLOCK_PAIRS))
+    @settings(max_examples=100)
+    def test_any_operands(self, pair, block_pairs):
+        a, b = pair
+        with mock.patch.object(composition, "_BLOCK_PAIRS", block_pairs):
+            assert_matches_reference(a, b, 0.0)
 
 
 class TestComposeGl4:

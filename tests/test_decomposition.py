@@ -1,16 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from pauligl import (CoefficientTensor, DimensionError, DomainError,
-                     coeff_distance, decompose, decompose_via_traces, kron,
-                     lex_local_from_global, pauli_matrix, reconstruct,
-                     trace_from_coeffs)
-from pauligl.decomposition import MAX_DENSE_BYTES, MAX_ORDER
+                     basis_element, coeff_distance, decompose,
+                     decompose_via_traces, kron, lex_local_from_global,
+                     pauli_matrix, reconstruct, trace_from_coeffs)
+from pauligl.decomposition import MAX_DENSE_BYTES, MAX_ORDER, coefficient_array
 
 NAN = float("nan")
+BIG = 1.7976931348623157e308
 
 from conftest import coefficient_tensors, random_complex_matrix
+from reference import reference_coefficient_array, reference_reconstruct
 
 
 class TestCoefficientTensor:
@@ -239,3 +243,89 @@ class TestCoeffDistance:
     def test_order_mismatch(self):
         with pytest.raises(DimensionError):
             coeff_distance(CoefficientTensor(1, {}), CoefficientTensor(2, {}))
+
+    def test_overflowing_distance_is_inf(self):
+        # no RuntimeWarning either: the test run turns those into errors
+        a = CoefficientTensor(1, {(1,): complex(BIG, BIG)})
+        b = CoefficientTensor(1, {(1,): -BIG})
+        assert coeff_distance(a, b) == float("inf")
+
+
+def transform_corpus(rng, m):
+    """Named 2^m x 2^m inputs whose transforms must match the oracle's bits."""
+    n = 2 ** m
+    signs = rng.choice([-1.0, 1.0], size=(2, n, n))
+    ints = rng.integers(-3, 4, size=(2, n, n)).astype(float)
+    return {
+        "identity": np.eye(n, dtype=complex),
+        "basis": basis_element(tuple(rng.integers(0, 4, size=m).tolist())),
+        "random": random_complex_matrix(rng, n),
+        "real": rng.standard_normal((n, n)) + 0j,
+        # mostly zeros of either sign, in both parts
+        "integer": (np.copysign(ints[0], signs[0])
+                    + 1j * np.copysign(ints[1], signs[1])),
+        "signed_zero": signs[0] * 0.0 + 1j * (signs[1] * 0.0),
+        "subnormal": (rng.choice([5e-324, 1e-320, 1e-310, 0.0], size=(n, n))
+                      * signs[0] + 1j * 1e-310 * rng.standard_normal((n, n))),
+        # sums overflow to inf, and inf - inf is nan
+        "near_overflow": (rng.choice([BIG, 1e308, 0.0, 1.0], size=(n, n))
+                          * signs[0] + 1j * BIG * signs[1]),
+    }
+
+
+def float_bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(float_bits(got), float_bits(want))
+
+
+def dense_tensor(m, values):
+    """All 4^m coefficients in code order; zeros are pruned as usual."""
+    return CoefficientTensor._from_codes(
+        m, np.arange(4 ** m, dtype=np.uint64), values.reshape(-1), 0.0)
+
+
+class TestTransformMatchesReference:
+    """The one-matmul-per-factor transform against the tensordot oracle."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_corpus(self, rng, m):
+        for a in transform_corpus(rng, m).values():
+            c = dense_tensor(m, a)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert_same_bits(coefficient_array(a), reference_coefficient_array(a))
+                assert_same_bits(reconstruct(c), reference_reconstruct(c))
+
+    @given(st.integers(1, 4).flatmap(lambda m: st.lists(
+        st.floats(allow_nan=False, allow_infinity=False),
+        min_size=2 * 4 ** m, max_size=2 * 4 ** m)))
+    def test_any_finite_input(self, reals):
+        values = np.array(reals).view(complex)
+        m = (len(values).bit_length() - 1) // 2
+        a = values.reshape(2 ** m, 2 ** m)
+        c = dense_tensor(m, values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(coefficient_array(a), reference_coefficient_array(a))
+            assert_same_bits(reconstruct(c), reference_reconstruct(c))
+
+    @pytest.mark.parametrize("transform, oracle", [
+        (coefficient_array, reference_coefficient_array),
+        (reconstruct, reference_reconstruct)])
+    def test_memory_at_order_8(self, rng, transform, oracle):
+        a = random_complex_matrix(rng, 256)
+        arg = a if transform is coefficient_array else decompose(a, 0.0)
+
+        def peak(f):
+            f(arg)  # first-call setup
+            tracemalloc.start()
+            try:
+                f(arg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one (4,)*8 complex array is 1 MiB; the slack covers Python objects
+        assert peak(transform) <= peak(oracle) + 2 ** 16

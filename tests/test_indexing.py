@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +8,10 @@ from pauligl import (BlockCuts, BlockLocal, DomainError, Half, basis_element,
                      block_global_from_local, block_local_from_global,
                      lex_global_from_local, lex_local_from_global,
                      pauli_matrix)
+from pauligl.indexing import SHAPE_CACHE_SIZE, _checked_shape
+
+from reference import (reference_lex_global_from_local,
+                       reference_lex_local_from_global)
 
 
 def all_shapes(limit):
@@ -157,3 +162,83 @@ class TestKronEntryConsistency:
                     for k in range(m):
                         prod *= factors[k][rows[k], cols[k]]
                     assert dense[i, j] == prod
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the type and message of what it raised."""
+    try:
+        return ("ok", f(*args))
+    except Exception as exc:  # compared, never swallowed
+        return (type(exc), str(exc))
+
+
+# shapes are factories, so a generator is fresh for each call
+BAD_SHAPES = {
+    "empty": lambda: (),
+    "one": lambda: (1,),
+    "zero": lambda: (0, 2),
+    "negative": lambda: (-3,),
+    "text": lambda: ("x",),
+    "none": lambda: (None,),
+    "unhashable": lambda: ([2],),
+    "nested_list": lambda: [[2]],
+    # equal to the cached (2, 2), but int() rejects it
+    "complex": lambda: (2, 2 + 0j),
+    "list": lambda: [2, 1],
+    "generator": lambda: (s for s in (2, 0)),
+    "ndarray": lambda: np.array([2, 1]),
+    "not_iterable": lambda: 2,
+}
+
+GOOD_SHAPES = {
+    "tuple": lambda: (2, 3),
+    "list": lambda: [2, 3],
+    "generator": lambda: (s for s in (2, 3)),
+    "ndarray": lambda: np.array([2, 3]),
+    "floats": lambda: (2.0, 3.5),
+    "array_element": lambda: (np.array(2), 3),
+}
+
+
+class TestShapeCache:
+    """Cached shape validation against the uncached maps it replaced."""
+
+    def test_bounded(self):
+        info = _checked_shape.cache_info()
+        assert info.maxsize == SHAPE_CACHE_SIZE <= 1024
+
+    def test_matches_reference_past_maxsize(self):
+        shapes = [(a, b) for a in range(2, 40) for b in range(2, 6)]
+        assert len(shapes) > SHAPE_CACHE_SIZE
+        for _ in range(2):  # the second pass runs on evicted entries
+            for shape in shapes:
+                size = shape[0] * shape[1]
+                for g in (0, size - 1, size, -1):
+                    assert (outcome(lex_local_from_global, g, shape)
+                            == outcome(reference_lex_local_from_global, g, shape))
+                for locals_ in ((0, 0), (shape[0] - 1, shape[1] - 1), (0, shape[1])):
+                    assert (outcome(lex_global_from_local, locals_, shape)
+                            == outcome(reference_lex_global_from_local, locals_, shape))
+        assert _checked_shape.cache_info().currsize <= SHAPE_CACHE_SIZE
+
+    @pytest.mark.parametrize("name", BAD_SHAPES)
+    def test_errors_unchanged(self, name):
+        make = BAD_SHAPES[name]
+        # twice, with a valid shape of equal elements cached in between
+        for _ in range(2):
+            want = outcome(reference_lex_local_from_global, 0, make())
+            assert want[0] != "ok"
+            assert outcome(lex_local_from_global, 0, make()) == want
+            want = outcome(reference_lex_global_from_local, (0,), make())
+            assert outcome(lex_global_from_local, (0,), make()) == want
+            lex_local_from_global(0, (2,))
+            lex_local_from_global(0, (2, 2))
+
+    @pytest.mark.parametrize("name", GOOD_SHAPES)
+    def test_shape_types(self, name):
+        make = GOOD_SHAPES[name]
+        for _ in range(2):
+            for g in range(6):
+                local = lex_local_from_global(g, make())
+                assert local == reference_lex_local_from_global(g, make())
+                assert lex_global_from_local(local, make()) == g
