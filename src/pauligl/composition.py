@@ -212,13 +212,14 @@ def compose_antisym_gl4(a: CoefficientTensor, b: CoefficientTensor,
     # summed as Python complex numbers, term by term in table order
     A = _antisym_gl4_matrix(a, "left factor").tolist()
     B = _antisym_gl4_matrix(b, "right factor").tolist()
-    acc: dict[tuple, complex] = {}
-    for out, terms in _DERIVED_ANTISYM_TABLE.items():
+    acc = []
+    for terms in _DERIVED_ANTISYM_TABLE.values():  # in code order
         total = 0j
         for (s0, s1), (t0, t1), scalar in terms:
             total += scalar * A[s0][s1] * B[t0][t1]
-        acc[out] = total
-    return CoefficientTensor(2, acc, tol=tol)
+        acc.append(total)
+    return CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
+                                         np.array(acc), tol)
 
 
 # -- validation report --------------------------------------------------------
@@ -330,8 +331,10 @@ def verify_closed_forms(rng: np.random.Generator | None = None,
     for _ in range(pairs):
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = CoefficientTensor(2, {(p, q): A[p, q] for p in range(4) for q in range(4)}, tol=0.0)
-        b = CoefficientTensor(2, {(p, q): B[p, q] for p in range(4) for q in range(4)}, tol=0.0)
+        a = CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
+                                          A.reshape(-1), 0.0)
+        b = CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
+                                          B.reshape(-1), 0.0)
         general = _coeff_matrix(compose(a, b, tol=0.0)).tolist()
         closed = _coeff_matrix(compose_gl4(a, b, tol=0.0)).tolist()
         for p in range(4):

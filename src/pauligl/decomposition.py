@@ -287,16 +287,20 @@ def decompose_via_traces(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientT
 def reconstruct(c: CoefficientTensor) -> np.ndarray:
     """Dense matrix equal to the coefficient-weighted sum of basis elements.
 
-    Raises DimensionError when the dense array would exceed MAX_DENSE_BYTES.
+    Raises DimensionError when the dense array would exceed MAX_DENSE_BYTES,
+    and DomainError when a sum overflows to a non-finite entry.
     """
     _check_dense_size(c.m)
     dense = np.zeros(4 ** c.m, dtype=complex)
     dense[c.codes] = c.values
     dense = dense.reshape((4,) * c.m)
-    # a sum past the largest float is inf (or nan) in the result itself;
+    # a sum past the largest float is inf (or nan), which is rejected below;
     # numpy's warning would only echo that to stderr
     with np.errstate(over="ignore", invalid="ignore"):
         dense = _apply_along_each_axis(dense, _INVERSE, c.m)
+    if not np.isfinite(dense).all():
+        raise DomainError("non-finite matrix entry: a sum of coefficients "
+                          "overflows")
     return _deinterleaved(dense, c.m)
 
 

@@ -10,7 +10,9 @@ Three formats, all line-oriented ASCII:
 Reals print in shortest round-trip form, with integral values printed as
 bare integers ("1", not "1.0") and negative zero kept as "-0".  Coefficient
 files are written sorted by digit string with near-zero entries already
-pruned, so equal tensors produce byte-identical files.
+pruned, so equal tensors produce byte-identical files.  The readers accept
+finite values only, so the writers refuse inf and nan with DomainError (a
+CoefficientTensor never holds them).
 
 Files are read a matrix row or a block of lines at a time, each checked
 with one regular expression, and written a row or a block at a time.
@@ -28,7 +30,7 @@ import numpy as np
 
 from .algebra import code_digits
 from .decomposition import MAX_ORDER, CoefficientTensor
-from .errors import DimensionError, FileFormatError
+from .errors import DimensionError, DomainError, FileFormatError
 from .symmetry import QVector
 
 __all__ = [
@@ -75,7 +77,10 @@ def _format_reals(values: np.ndarray) -> list:
 
 
 def format_real(x: float) -> str:
-    return _format_reals(np.array([float(x)]))[0]
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"cannot write the non-finite value {x!r}")
+    return _format_reals(np.array([x]))[0]
 
 
 def _format_parts(z: np.ndarray) -> list:
@@ -137,6 +142,10 @@ def format_matrix(matrix) -> str:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2:
         raise TypeError(f"expected a 2-D matrix, got {a.ndim} dimensions")
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0].tolist()
+        raise DomainError(
+            f"cannot write the non-finite matrix entry at ({i}, {j}): {a[i, j]}")
     lines = [str(a.shape[0])]
     for row in a:
         reals = iter(_format_parts(row))

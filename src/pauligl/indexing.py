@@ -8,7 +8,8 @@ Two families, both 0-based:
 * mixed-radix (lexicographic) maps — when the matrix is a Kronecker product
   of factors, a global row or column index maps to one digit per factor.
   The first listed factor of a shape is the slowest-varying (the leftmost
-  Kronecker factor); the last listed factor varies fastest.
+  Kronecker factor); the last listed factor varies fastest.  Both maps take
+  Python integers, or integer numpy arrays to map many indices in one call.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -130,22 +133,71 @@ def _validate_shape(shape) -> tuple[tuple[int, ...], int]:
     return _checked_shape.__wrapped__(*shape)
 
 
-def lex_global_from_local(locals_, shape) -> int:
+# Array results are int64, so a shape must have fewer entries than this.
+_INT64_LIMIT = 1 << 63
+
+
+def _radix_columns(a: np.ndarray, what: str, shape: tuple, size: int,
+                   ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factor sizes and place values as int64 columns that broadcast over
+    ``ndim`` index axes, once ``a`` is known to be an integer array the
+    maps can handle exactly in int64."""
+    if a.dtype.kind not in "iu":
+        raise TypeError(f"{what} must have an integer dtype, got {a.dtype}")
+    if size >= _INT64_LIMIT:
+        raise DomainError(
+            f"shape of size {size} is too large for int64 index arrays")
+    place = [1]
+    for s in reversed(shape[1:]):
+        place.append(place[-1] * s)
+    column = (-1,) + (1,) * ndim
+    return (np.array(shape, dtype=np.int64).reshape(column),
+            np.array(place[::-1], dtype=np.int64).reshape(column))
+
+
+def _lex_global_array(locals_: np.ndarray, shape: tuple, size: int) -> np.ndarray:
+    if locals_.ndim == 0:
+        raise TypeError("local indices need a factor axis, got a 0-d array")
+    sizes, place = _radix_columns(locals_, "local indices", shape, size,
+                                  locals_.ndim - 1)
+    if len(locals_) != len(shape):
+        raise DomainError(
+            f"expected {len(shape)} local indices, got {len(locals_)}")
+    bad = (locals_ < 0) | (locals_ >= sizes)
+    if bad.any():
+        k = int(np.argmax(bad.reshape(len(shape), -1).any(axis=1)))
+        raise DomainError(f"local index {locals_[k][bad[k]][0]} out of range "
+                          f"for factor size {shape[k]}")
+    return (locals_.astype(np.int64) * place).sum(axis=0)
+
+
+def lex_global_from_local(locals_, shape):
     """Convert per-factor digits to the global index of a Kronecker product.
 
     Parameters
     ----------
-    locals_ : sequence of int
-        One 0-based digit per factor, slowest factor first.
+    locals_ : sequence of int, or integer np.ndarray
+        One 0-based digit per factor, slowest factor first.  An array holds
+        the digits of factor k in ``locals_[k]``, so axis 0 is the factor
+        axis and the other axes index many digit vectors at once.
     shape : sequence of int
         Factor sizes, slowest factor first; each must be >= 2.
 
     Returns
     -------
-    int
-        Mixed-radix value: the last-listed factor varies fastest.
+    int, or np.ndarray of int64
+        Mixed-radix value: the last-listed factor varies fastest.  For an
+        array, one value per digit vector, of shape ``locals_.shape[1:]``
+        (a numpy int64 for a 1-D array).
+
+    A wrong number of digits or a digit out of range raises DomainError; for
+    an array, the message names the first bad digit of the first bad factor.
+    An array of a non-integer dtype (bool included) raises TypeError, and a
+    shape of 2**63 or more entries raises DomainError.
     """
-    shape, _ = _validate_shape(shape)
+    shape, size = _validate_shape(shape)
+    if isinstance(locals_, np.ndarray):
+        return _lex_global_array(locals_, shape, size)
     locals_ = tuple(int(v) for v in locals_)
     if len(locals_) != len(shape):
         raise DomainError(
@@ -158,12 +210,24 @@ def lex_global_from_local(locals_, shape) -> int:
     return g
 
 
-def lex_local_from_global(i: int, shape) -> tuple[int, ...]:
+def lex_local_from_global(i, shape):
     """Convert a global index back to per-factor digits.
 
-    Exact inverse of :func:`lex_global_from_local` for the same shape.
+    Exact inverse of :func:`lex_global_from_local` for the same shape.  A
+    Python integer gives a tuple of ints.  An integer np.ndarray gives an
+    int64 array of shape ``(len(shape),) + i.shape`` whose row k holds the
+    digits of factor k, slowest factor first.  An index out of range raises
+    DomainError (for an array, naming the first one in ravel order); the
+    array errors are those of :func:`lex_global_from_local`.
     """
     shape, size = _validate_shape(shape)
+    if isinstance(i, np.ndarray):
+        sizes, place = _radix_columns(i, "global indices", shape, size, i.ndim)
+        bad = (i < 0) | (i >= size)
+        if bad.any():
+            raise DomainError(
+                f"global index {i[bad][0]} out of range for shape of size {size}")
+        return i.astype(np.int64) // place % sizes
     i = int(i)
     if not 0 <= i < size:
         raise DomainError(

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPSILON, code_digits, validate_multi_index, y_counts
+from .algebra import EPSILON, code_digits, pack_index, validate_multi_index, y_counts
 from .decomposition import DEFAULT_PRUNE_TOL, CoefficientTensor, _coeff_matrix
 from .errors import DimensionError, DomainError
 
@@ -70,6 +70,11 @@ def classify_basis(idx) -> SymmetryKind:
 ANTISYMMETRIC_GL4_SUPPORT = frozenset(
     idx for idx in itertools.product(range(4), repeat=2)
     if classify_basis(idx) is SymmetryKind.ANTISYMMETRIC)
+
+
+#: Codes of ANTISYMMETRIC_GL4_SUPPORT, in increasing (index) order.
+_ANTISYM_GL4_CODES = np.array(sorted(pack_index(i) for i in ANTISYMMETRIC_GL4_SUPPORT),
+                              dtype=np.uint64)
 
 
 def antisymmetric_mask(c: CoefficientTensor) -> np.ndarray:
@@ -163,15 +168,16 @@ def qvector_to_coeffs(q: QVector, tol: float = DEFAULT_PRUNE_TOL) -> Coefficient
     """Left inverse of coeffs_to_qvector (solves the six relations pairwise)."""
     a1, a2, a3 = q.a
     b1, b2, b3 = q.b
-    coeffs = {
-        (2, 1): (-1j * a1 - b1) / 2,
-        (1, 2): (1j * a1 - b1) / 2,
-        (2, 0): (1j * a2 - b2) / 2,
-        (2, 3): (1j * a2 + b2) / 2,
-        (0, 2): (-1j * a3 - b3) / 2,
-        (3, 2): (-1j * a3 + b3) / 2,
-    }
-    return CoefficientTensor(2, coeffs, tol=tol)
+    values = [
+        (-1j * a3 - b3) / 2,  # (0, 2)
+        (1j * a1 - b1) / 2,   # (1, 2)
+        (1j * a2 - b2) / 2,   # (2, 0)
+        (-1j * a1 - b1) / 2,  # (2, 1)
+        (1j * a2 + b2) / 2,   # (2, 3)
+        (-1j * a3 + b3) / 2,  # (3, 2)
+    ]
+    return CoefficientTensor._from_codes(2, _ANTISYM_GL4_CODES,
+                                         np.array(values), tol)
 
 
 def qvector_to_dense(q: QVector) -> np.ndarray:

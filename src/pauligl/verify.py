@@ -11,6 +11,7 @@ affect the pass verdict.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,18 +107,14 @@ def _suite_orthogonality() -> SuiteResult:
                                           expected))
     per_m = []
     for m in range(1, 4):
-        indices = list(itertools.product(range(4), repeat=m))
-        dense = [basis_element(idx) for idx in indices]
-        count = 0
-        for i, a in enumerate(dense):
-            for j, b in enumerate(dense):
-                trace = complex(np.trace(a @ b))
-                want = complex(2 ** m) if i == j else 0j
-                total += 1
-                ok = trace == want
-                passed += ok
-                count += ok
-        per_m.append(f"m={m} {count}/{len(indices) ** 2}")
+        dense = np.array([basis_element(idx)
+                          for idx in itertools.product(range(4), repeat=m)])
+        # every Tr(a @ b) at once; entries are 0, +-1, +-i, so sums are exact
+        traces = np.einsum("aij,bji->ab", dense, dense)
+        count = int(np.count_nonzero(traces == 2 ** m * np.eye(len(dense))))
+        total += traces.size
+        passed += count
+        per_m.append(f"m={m} {count}/{traces.size}")
     return SuiteResult("orthogonality", passed, total,
                        "exact; products 16/16, traces " + ", ".join(per_m))
 
@@ -157,15 +154,12 @@ def _suite_bijection() -> SuiteResult:
     passed = total = 0
     lex = 0
     for shape in _factor_shapes(64):
-        size = 1
-        for s in shape:
-            size *= s
-        for g in range(size):
-            locals_ = lex_local_from_global(g, shape)
-            ok = lex_global_from_local(locals_, shape) == g
-            total += 1
-            passed += ok
-            lex += ok
+        g = np.arange(math.prod(shape))
+        back = lex_global_from_local(lex_local_from_global(g, shape), shape)
+        ok = int(np.count_nonzero(back == g))
+        total += len(g)
+        passed += ok
+        lex += ok
     block = 0
     for n in range(2, 9):
         for rc in range(1, n):
@@ -180,20 +174,15 @@ def _suite_bijection() -> SuiteResult:
                         block += ok
     kron = 0
     for m in range(1, 4):
-        shape = (2,) * m
+        # entry (i, j) is the product over k of factor k's entry at the
+        # k-th digits of i and j
+        digits = lex_local_from_global(np.arange(2 ** m), (2,) * m)
+        rows, cols = digits[:, :, None], digits[:, None, :]
         for idx in itertools.product(range(4), repeat=m):
-            dense = basis_element(idx)
-            factors = [pauli_matrix(mu) for mu in idx]
-            ok = True
-            for i in range(2 ** m):
-                rows = lex_local_from_global(i, shape)
-                for j in range(2 ** m):
-                    cols = lex_local_from_global(j, shape)
-                    prod = 1 + 0j
-                    for k in range(m):
-                        prod *= factors[k][rows[k], cols[k]]
-                    if dense[i, j] != prod:
-                        ok = False
+            prod = np.ones((2 ** m, 2 ** m), dtype=complex)
+            for k, mu in enumerate(idx):
+                prod *= pauli_matrix(mu)[rows[k], cols[k]]
+            ok = bool(np.array_equal(basis_element(idx), prod))
             total += 1
             passed += ok
             kron += ok
@@ -201,8 +190,20 @@ def _suite_bijection() -> SuiteResult:
                        f"lex {lex}, block {block}, kron factorization {kron}; all exact")
 
 
+def _codes(support) -> np.ndarray:
+    """Sorted codes of a set of order-2 multi-indices."""
+    return np.array(sorted(map(pack_index, support)), dtype=np.uint64)
+
+
 def _indicator(idx) -> CoefficientTensor:
-    return CoefficientTensor(2, {idx: 1.0})
+    return CoefficientTensor._from_codes(2, _codes([idx]), np.ones(1, complex), 0.0)
+
+
+def _random_tensor(rng, codes: np.ndarray) -> CoefficientTensor:
+    """Order-2 tensor on the given codes: a standard normal real and then
+    imaginary part for each code in turn."""
+    values = rng.standard_normal(2 * len(codes)).view(complex)
+    return CoefficientTensor._from_codes(2, codes, values, 0.0)
 
 
 def _suite_closed_form(rng) -> tuple:
@@ -217,11 +218,9 @@ def _suite_closed_form(rng) -> tuple:
             total += 1
             passed += compose_antisym_gl4(a, b, tol=0.0) == compose(a, b, tol=0.0)
     worst = 0.0
+    codes = _codes(ANTISYMMETRIC_GL4_SUPPORT)
     for _ in range(50):
-        a = CoefficientTensor(2, {i: complex(rng.standard_normal(), rng.standard_normal())
-                                  for i in sorted(ANTISYMMETRIC_GL4_SUPPORT)}, tol=0.0)
-        b = CoefficientTensor(2, {i: complex(rng.standard_normal(), rng.standard_normal())
-                                  for i in sorted(ANTISYMMETRIC_GL4_SUPPORT)}, tol=0.0)
+        a, b = _random_tensor(rng, codes), _random_tensor(rng, codes)
         err = coeff_distance(compose_antisym_gl4(a, b, tol=0.0), compose(a, b, tol=0.0))
         worst = max(worst, err)
         total += 1
@@ -260,15 +259,12 @@ def _suite_closed_classes(rng) -> SuiteResult:
     first_slot = {(0, 0), (1, 0), (2, 0), (3, 0)}
     second_slot = {(0, 0), (0, 1), (0, 2), (0, 3)}
     for support in (first_slot, second_slot):
-        ordered = sorted(support)
-        codes = {pack_index(i) for i in support}
+        codes = _codes(support)
+        allowed = set(codes.tolist())
         for _ in range(100):
-            a = CoefficientTensor(2, {i: complex(rng.standard_normal(), rng.standard_normal())
-                                      for i in ordered}, tol=0.0)
-            b = CoefficientTensor(2, {i: complex(rng.standard_normal(), rng.standard_normal())
-                                      for i in ordered}, tol=0.0)
+            a, b = _random_tensor(rng, codes), _random_tensor(rng, codes)
             total += 1
-            passed += set(compose(a, b, tol=0.0).codes.tolist()) <= codes
+            passed += set(compose(a, b, tol=0.0).codes.tolist()) <= allowed
     # one antisymmetric-support pair escaping the six proves that class open
     escape = compose(_indicator((2, 0)), _indicator((2, 1)), tol=0.0)
     total += 1

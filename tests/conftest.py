@@ -11,6 +11,14 @@ settings.load_profile("repo")
 complex_coeffs = st.complex_numbers(max_magnitude=10.0,
                                     allow_nan=False, allow_infinity=False)
 
+# finite floats with the edge cases drawn often: signed zeros, subnormals,
+# the smallest normal and values whose sums and products overflow
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.0, -1.0, 1.7e308, -1.7e308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
 
 def multi_indices(m):
     return st.tuples(*([st.integers(0, 3)] * m))
@@ -22,6 +30,16 @@ def coefficient_tensors(draw, min_m=1, max_m=3, max_terms=8):
     coeffs = draw(st.dictionaries(multi_indices(m), complex_coeffs,
                                   max_size=max_terms))
     return CoefficientTensor(m, coeffs, tol=0.0)
+
+
+def tensor_outcome(f, *args, **kwargs):
+    """The order, codes and value bits of the tensor f returns, or the type
+    and message of what it raised."""
+    try:
+        c = f(*args, **kwargs)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+    return c.m, c.codes.tolist(), c.values.view(np.uint64).tolist()
 
 
 @pytest.fixture

@@ -14,6 +14,11 @@ Transform: the per-axis ``tensordot`` + ``moveaxis`` pass that
 
 Index maps: the lexicographic maps as they were before the validated factor
 shapes were cached.
+
+Small tensors: ``qvector_to_coeffs`` and ``compose_antisym_gl4`` as they were
+when they built their result from a {multi-index: value} dict; the package
+now passes code arrays to ``CoefficientTensor._from_codes``, with the same
+bits.
 """
 
 import cmath
@@ -24,8 +29,10 @@ import numpy as np
 
 from pauligl import (DEFAULT_PRUNE_TOL, CoefficientTensor, DimensionError,
                      DomainError, FileFormatError, multi_product)
+from pauligl.composition import _DERIVED_ANTISYM_TABLE
 from pauligl.decomposition import (_FORWARD, _INVERSE, MAX_ORDER, _as_square,
                                    _deinterleaved, _interleaved, _order_of)
+from pauligl.symmetry import _antisym_gl4_matrix
 
 
 def reference_compose(a, b, tol=DEFAULT_PRUNE_TOL) -> dict:
@@ -220,3 +227,31 @@ def reference_lex_local_from_global(i, shape):
         i, v = divmod(i, s)
         out.append(v)
     return tuple(reversed(out))
+
+
+# -- small tensors: built from a {multi-index: value} dict --
+
+def reference_qvector_to_coeffs(q, tol=DEFAULT_PRUNE_TOL):
+    a1, a2, a3 = q.a
+    b1, b2, b3 = q.b
+    coeffs = {
+        (2, 1): (-1j * a1 - b1) / 2,
+        (1, 2): (1j * a1 - b1) / 2,
+        (2, 0): (1j * a2 - b2) / 2,
+        (2, 3): (1j * a2 + b2) / 2,
+        (0, 2): (-1j * a3 - b3) / 2,
+        (3, 2): (-1j * a3 + b3) / 2,
+    }
+    return CoefficientTensor(2, coeffs, tol=tol)
+
+
+def reference_compose_antisym_gl4(a, b, tol=DEFAULT_PRUNE_TOL):
+    A = _antisym_gl4_matrix(a, "left factor").tolist()
+    B = _antisym_gl4_matrix(b, "right factor").tolist()
+    acc = {}
+    for out, terms in _DERIVED_ANTISYM_TABLE.items():
+        total = 0j
+        for (s0, s1), (t0, t1), scalar in terms:
+            total += scalar * A[s0][s1] * B[t0][t1]
+        acc[out] = total
+    return CoefficientTensor(2, acc, tol=tol)

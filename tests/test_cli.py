@@ -1,18 +1,26 @@
+import contextlib
+import io
 import itertools
+import json
+import os
+import re
 import subprocess
 import sys
+import tempfile
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from pauligl import (CoefficientTensor, SymmetryKind, classify_basis, decompose,
-                     project)
+from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor, QVector,
+                     SymmetryKind, classify_basis, decompose, project,
+                     qvector_to_coeffs)
 from pauligl.cli import dispatch
-from pauligl.fileio import (format_coefficients, format_matrix,
-                            parse_coefficients, parse_matrix)
+from pauligl.fileio import (format_coefficients, format_matrix, format_qvector,
+                            parse_coefficients, parse_matrix, parse_qvector)
 
-from conftest import random_complex_matrix
-from reference import reference_reconstruct
+from conftest import edge_floats, random_complex_matrix
 
 
 @pytest.fixture(autouse=True)
@@ -149,16 +157,17 @@ class TestCompose:
     ])
     def test_overflow_prints_no_warning(self, tmp_path, command, text):
         # in a fresh process, where numpy warnings reach stderr.  Transpose
-        # keeps the symmetric sigma1 term; reconstruct prints the oracle's
-        # matrix, with whatever inf and nan the BLAS makes of the overflow.
-        c = parse_coefficients(text)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = (format_coefficients(c) if command == "transpose"
-                   else format_matrix(reference_reconstruct(c)))
+        # keeps the symmetric sigma1 term; reconstruct's sums overflow, and
+        # it refuses the non-finite matrix that no reader would accept.
+        if command == "transpose":
+            want = (0, format_coefficients(parse_coefficients(text)), "")
+        else:
+            want = (2, "", "error: non-finite matrix entry: a sum of "
+                           "coefficients overflows\n")
         path = write(tmp_path / "c.pcoef", text)
         proc = subprocess.run([sys.executable, "-m", "pauligl", command, path],
                               capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
 
     def test_unknown_method(self, pair, capsys):
         code, _, _ = run_cli(capsys, "compose", *pair, "--method", "fast")
@@ -343,3 +352,157 @@ class TestModuleEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "2\n"
+
+
+# -- every file a command writes is one its reader accepts ----------------------
+
+edge_complex = st.builds(complex, edge_floats, edge_floats)
+
+
+@st.composite
+def coefficient_texts(draw, m, support=None):
+    indices = sorted(support) if support else list(itertools.product(range(4), repeat=m))
+    chosen = draw(st.lists(st.sampled_from(indices), unique=True, max_size=6))
+    values = draw(st.lists(edge_complex, min_size=len(chosen), max_size=len(chosen)))
+    return format_coefficients(CoefficientTensor(m, dict(zip(chosen, values)), tol=0.0))
+
+
+@st.composite
+def matrix_texts(draw):
+    n = 2 ** draw(st.integers(1, 3))
+    values = draw(st.lists(edge_complex, min_size=n * n, max_size=n * n))
+    return format_matrix(np.array(values).reshape(n, n))
+
+
+def qvector_texts():
+    return st.lists(edge_floats, min_size=6, max_size=6).map(
+        lambda v: format_qvector(QVector(tuple(v[:3]), tuple(v[3:]))))
+
+
+def writer_runs():
+    """(argv before the input files, input file texts, (reader, writer) of
+    the output format)."""
+    coefficients = (parse_coefficients, format_coefficients)
+    one = st.integers(1, 3).flatmap(coefficient_texts).map(lambda t: [t])
+    pair = st.integers(1, 3).flatmap(
+        lambda m: st.lists(coefficient_texts(m), min_size=2, max_size=2))
+
+    def order_two_pair(support=None):
+        return st.lists(coefficient_texts(2, support), min_size=2, max_size=2)
+
+    # real vectors give a readable result, other coefficients a named error
+    qvector_coefficients = st.one_of(
+        coefficient_texts(2, ANTISYMMETRIC_GL4_SUPPORT),
+        qvector_texts().map(lambda t: format_coefficients(
+            qvector_to_coeffs(parse_qvector(t), tol=0.0))))
+    runs = [
+        (["decompose"], matrix_texts().map(lambda t: [t]), coefficients),
+        (["reconstruct"], one, (parse_matrix, format_matrix)),
+        (["compose"], pair, coefficients),
+        (["compose", "--method", "gl4"], order_two_pair(), coefficients),
+        (["compose", "--method", "antisym-gl4"],
+         order_two_pair(ANTISYMMETRIC_GL4_SUPPORT), coefficients),
+        (["transpose"], one, coefficients),
+        (["project", "--symmetric"], one, coefficients),
+        (["project", "--antisymmetric"], one, coefficients),
+        (["qvec", "to-coef"], qvector_texts().map(lambda t: [t]), coefficients),
+        (["qvec", "from-coef"], qvector_coefficients.map(lambda t: [t]),
+         (parse_qvector, format_qvector)),
+    ]
+    return st.one_of(*(texts.map(lambda t, argv=argv, io=io: (argv, t, io))
+                       for argv, texts, io in runs))
+
+
+class TestWrittenFilesReadBack:
+    # the autouse environment fixture need not run again for each example
+    @settings(max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(writer_runs())
+    # a sum that overflows, which reconstruct once wrote as "inf,nan"
+    @example((["reconstruct"], ["1\n0 1.7e308 0\n3 1.7e308 0\n"],
+              (parse_matrix, format_matrix)))
+    def test_output_reads_back_or_named_error(self, run):
+        argv, inputs, (read, fmt) = run
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for k, text in enumerate(inputs):
+                paths.append(os.path.join(tmp, f"in{k}"))
+                with open(paths[-1], "w") as fh:
+                    fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch(argv + paths)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            assert out == "" and re.fullmatch(r"error: [^\n]+\n", err)
+        else:
+            assert (code, err) == (0, "")
+            assert fmt(read(out)) == out
+
+
+# -- output bits do not depend on the number of BLAS threads --------------------
+
+_RUN_COMMANDS = textwrap.dedent("""
+    import contextlib, hashlib, io, json, sys
+    from pauligl.cli import dispatch
+    results = []
+    for argv in json.loads(sys.argv[1]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = dispatch(argv)
+        results.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+    json.dump(results, sys.stdout)
+""")
+
+
+def _random_coefficient_text(rng, m, terms):
+    codes = np.sort(rng.choice(4 ** m, size=terms, replace=False)).astype(np.uint64)
+    values = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
+    return format_coefficients(CoefficientTensor._from_codes(m, codes, values, 0.0))
+
+
+class TestBlasThreads:
+    def test_outputs_identical_with_one_and_two_threads(self, tmp_path):
+        # inputs shaped like the benchmark's: a dense 256x256 matrix, 256-term
+        # m=6 and 128-term m=12 operands, and order-2 closed-form operands
+        rng = np.random.default_rng(2024)
+        a = random_complex_matrix(rng, 256)
+        files = {
+            "a.cmat": format_matrix(a),
+            "a.pcoef": format_coefficients(decompose(a)),
+            "d1.pcoef": _random_coefficient_text(rng, 6, 256),
+            "d2.pcoef": _random_coefficient_text(rng, 6, 256),
+            "s1.pcoef": _random_coefficient_text(rng, 12, 128),
+            "s2.pcoef": _random_coefficient_text(rng, 12, 128),
+            "g1.pcoef": _random_coefficient_text(rng, 2, 16),
+            "g2.pcoef": _random_coefficient_text(rng, 2, 16),
+            "q1.pcoef": format_coefficients(qvector_to_coeffs(QVector(
+                tuple(rng.standard_normal(3)), tuple(rng.standard_normal(3))))),
+            "q2.pcoef": format_coefficients(qvector_to_coeffs(QVector(
+                tuple(rng.standard_normal(3)), tuple(rng.standard_normal(3))))),
+        }
+        path = {name: write(tmp_path / name, text) for name, text in files.items()}
+        commands = [
+            ["decompose", path["a.cmat"]],
+            ["reconstruct", path["a.pcoef"]],
+            ["compose", path["d1.pcoef"], path["d2.pcoef"]],
+            ["compose", path["s1.pcoef"], path["s2.pcoef"]],
+            ["compose", path["g1.pcoef"], path["g2.pcoef"], "--method", "gl4"],
+            ["compose", path["q1.pcoef"], path["q2.pcoef"],
+             "--method", "antisym-gl4"],
+            ["verify", "--seed", "0"],
+        ]
+
+        def run(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+            proc = subprocess.run(
+                [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+                capture_output=True, text=True, env=env, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        one, two = run(1), run(2)
+        assert [code for code, _ in one] == [0] * len(commands)
+        assert one == two
+

@@ -13,9 +13,9 @@ from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
                      compose_antisym_gl4, compose_gl4, decompose,
                      multi_product, reconstruct, verify_closed_forms)
 
-from conftest import (coefficient_tensors, complex_coeffs, multi_indices,
-                      random_complex_matrix)
-from reference import reference_compose
+from conftest import (coefficient_tensors, complex_coeffs, edge_floats,
+                      multi_indices, random_complex_matrix, tensor_outcome)
+from reference import reference_compose, reference_compose_antisym_gl4
 
 ANTISYM_SORTED = sorted(ANTISYMMETRIC_GL4_SUPPORT)
 
@@ -312,6 +312,18 @@ class TestComposeAntisymGl4:
             d = coeff_distance(compose_antisym_gl4(a, b, tol=0.0),
                                compose(a, b, tol=0.0))
             assert d < 1e-12
+
+    @given(st.lists(st.builds(complex, edge_floats, edge_floats),
+                    min_size=12, max_size=12),
+           st.lists(st.booleans(), min_size=12, max_size=12),
+           st.sampled_from([0.0, 1e-12, 0.5, 1e308]))
+    def test_bits_match_dict_build(self, values, stored, tol):
+        # random supports within the six, values that overflow included
+        a, b = (CoefficientTensor(2, {i: v for i, v, keep in zip(
+            ANTISYM_SORTED, values[k:k + 6], stored[k:k + 6]) if keep}, tol=0.0)
+            for k in (0, 6))
+        assert (tensor_outcome(compose_antisym_gl4, a, b, tol=tol)
+                == tensor_outcome(reference_compose_antisym_gl4, a, b, tol=tol))
 
     def test_rejects_outside_support(self):
         good = indicator((2, 0))

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pauligl import (CoefficientTensor, DimensionError, FileFormatError,
-                     QVector, decompose, fileio)
+from pauligl import (CoefficientTensor, DimensionError, DomainError,
+                     FileFormatError, QVector, decompose, fileio)
 from pauligl.fileio import (format_coefficients, format_matrix, format_qvector,
                             format_real, parse_coefficients, parse_matrix,
                             parse_qvector, parse_real_literal)
@@ -258,23 +258,62 @@ def assert_parses_alike(parse, reference, text, block_chars=None):
         assert outcome(parse, text) == want
 
 
+def assert_formats_like(fmt, reference, x, finite):
+    """The reference writer's text for finite input; non-finite input, which
+    no reader accepts, is refused."""
+    if finite:
+        assert fmt(x) == reference(x)
+    else:
+        with pytest.raises(DomainError, match="non-finite"):
+            fmt(x)
+
+
+NON_FINITE = [math.inf, -math.inf, math.nan, complex(0, math.inf),
+              complex(math.nan, 1)]
+
+
+class TestWritersRefuseNonFinite:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_format_matrix_names_the_entry(self, bad):
+        a = np.eye(2, dtype=complex)
+        a[1, 0] = bad
+        with pytest.raises(DomainError,
+                           match=r"^cannot write the non-finite matrix entry at \(1, 0\)"):
+            format_matrix(a)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_coefficient_tensors_hold_only_finite_values(self, bad):
+        # which is why format_coefficients needs no check of its own
+        with pytest.raises(DomainError, match="non-finite coefficient at"):
+            CoefficientTensor(1, {(1,): bad})
+        with pytest.raises(DomainError, match="non-finite coefficient at"):
+            CoefficientTensor._from_codes(1, np.array([1], dtype=np.uint64),
+                                          np.array([bad], dtype=complex), 0.0)
+        c = CoefficientTensor(1, {(1,): 1.0})
+        with pytest.raises(ValueError):
+            c.values[0] = bad
+
+
 class TestFormatMatchesReference:
     @given(ALL_FLOATS)
     def test_format_real(self, x):
-        assert format_real(x) == reference_format_real(x)
+        assert_formats_like(format_real, reference_format_real, x,
+                            math.isfinite(x))
 
     @pytest.mark.parametrize("x", SPECIAL_FLOATS + [math.inf, -math.inf, math.nan])
     def test_format_real_special(self, x):
-        assert format_real(x) == reference_format_real(x)
+        assert_formats_like(format_real, reference_format_real, x,
+                            math.isfinite(x))
 
     @given(st.integers(1, 5).flatmap(
         lambda n: st.lists(ALL_FLOATS, min_size=2 * n * n, max_size=2 * n * n)))
     def test_format_matrix(self, reals):
         n = math.isqrt(len(reals) // 2)
         a = np.array(reals).view(complex).reshape(n, n)
-        assert format_matrix(a) == reference_format_matrix(a)
+        finite = bool(np.isfinite(a).all())
+        assert_formats_like(format_matrix, reference_format_matrix, a, finite)
         # a strided view formats as its contents
-        assert format_matrix(a.T) == reference_format_matrix(a.T)
+        assert_formats_like(format_matrix, reference_format_matrix, a.T, finite)
 
     @given(st.integers(1, 4).flatmap(lambda m: st.dictionaries(
         st.tuples(*[st.integers(0, 3)] * m),

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pauligl import (BlockCuts, BlockLocal, DomainError, Half, basis_element,
                      lex_global_from_local, lex_local_from_global,
                      pauli_matrix)
 from pauligl.indexing import SHAPE_CACHE_SIZE, _checked_shape
+from pauligl.verify import _factor_shapes
 
 from reference import (reference_lex_global_from_local,
                        reference_lex_local_from_global)
@@ -242,3 +244,98 @@ class TestShapeCache:
                 local = lex_local_from_global(g, make())
                 assert local == reference_lex_local_from_global(g, make())
                 assert lex_global_from_local(local, make()) == g
+
+
+class TestArrayLexMaps:
+    """Integer arrays against the scalar maps, value for value."""
+
+    def test_matches_scalar_on_every_verified_shape(self):
+        for shape in _factor_shapes(64):
+            size = math.prod(shape)
+            local = lex_local_from_global(np.arange(size), shape)
+            assert local.dtype == np.int64 and local.shape == (len(shape), size)
+            assert [tuple(v) for v in local.T.tolist()] == [
+                lex_local_from_global(g, shape) for g in range(size)]
+            vectors = list(itertools.product(*map(range, shape)))
+            got = lex_global_from_local(np.array(vectors).T, shape)
+            assert got.dtype == np.int64
+            assert got.tolist() == [lex_global_from_local(v, shape)
+                                    for v in vectors]
+
+    def test_index_axes_are_kept(self):
+        g = np.array([[0, 5], [23, 7]])
+        local = lex_local_from_global(g, (2, 3, 4))
+        assert local.shape == (3, 2, 2)
+        assert local[:, 1, 0].tolist() == [1, 2, 3]
+        assert np.array_equal(lex_global_from_local(local, (2, 3, 4)), g)
+        # one index, one digit vector
+        assert lex_local_from_global(np.array(5), (2, 3)).tolist() == [1, 2]
+        assert lex_global_from_local(np.array([1, 2]), (2, 3)) == 5
+        empty = lex_local_from_global(np.arange(0), (2, 2))
+        assert empty.shape == (2, 0)
+        assert lex_global_from_local(empty, (2, 2)).shape == (0,)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64])
+    def test_integer_dtypes(self, dtype):
+        g = np.arange(12, dtype=dtype)
+        local = lex_local_from_global(g, (3, 4))
+        assert local.dtype == np.int64
+        assert np.array_equal(
+            lex_global_from_local(local.astype(dtype), (3, 4)), np.arange(12))
+
+    @pytest.mark.parametrize("bad", [-1, 6, 2 ** 40])
+    def test_global_out_of_range(self, bad):
+        # the message is the scalar one, for the first bad entry in ravel order
+        want = outcome(lex_local_from_global, bad, (2, 3))
+        assert want[0] is DomainError
+        g = np.array([[0, 5], [bad, -7]])
+        assert outcome(lex_local_from_global, g, (2, 3)) == want
+
+    def test_global_out_of_range_unsigned(self):
+        g = np.array([1, 2 ** 64 - 1], dtype=np.uint64)
+        assert outcome(lex_local_from_global, g, (2, 2)) == (
+            DomainError, f"global index {2 ** 64 - 1} out of range for shape "
+                         "of size 4")
+
+    def test_local_out_of_range(self):
+        # factor order first: the bad digit of factor 0 is reported, although
+        # factor 1 has one at an earlier position
+        digits = np.array([[0, 0, 5, 2], [0, 3, 0, 0]])
+        want = outcome(lex_global_from_local, (5, 0), (2, 3))
+        assert outcome(lex_global_from_local, digits, (2, 3)) == want
+        digits = np.array([[0, 1], [-1, 3]])
+        want = outcome(lex_global_from_local, (1, -1), (2, 3))
+        assert want[0] is DomainError
+        assert outcome(lex_global_from_local, digits, (2, 3)) == want
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_wrong_factor_count(self, rows):
+        want = outcome(lex_global_from_local, (0,) * rows, (2, 3))
+        assert want[0] is DomainError
+        digits = np.zeros((rows, 4), dtype=np.int64)
+        assert outcome(lex_global_from_local, digits, (2, 3)) == want
+
+    @pytest.mark.parametrize("dtype", [float, bool, complex, object])
+    def test_non_integer_dtype(self, dtype):
+        g = np.zeros(2, dtype=dtype)
+        assert outcome(lex_local_from_global, g, (2, 2)) == (
+            TypeError, f"global indices must have an integer dtype, got {g.dtype}")
+        digits = np.zeros((2, 2), dtype=dtype)
+        assert outcome(lex_global_from_local, digits, (2, 2)) == (
+            TypeError, f"local indices must have an integer dtype, got {g.dtype}")
+
+    def test_zero_dimensional_digits(self):
+        assert outcome(lex_global_from_local, np.array(1), (2,)) == (
+            TypeError, "local indices need a factor axis, got a 0-d array")
+
+    def test_shape_too_large_for_int64(self):
+        # 2**63 entries; the scalar maps take it, the int64 arrays cannot
+        shape = (2,) * 63
+        assert lex_local_from_global(2 ** 63 - 1, shape) == (1,) * 63
+        want = (DomainError, f"shape of size {2 ** 63} is too large for int64 "
+                             "index arrays")
+        assert outcome(lex_local_from_global, np.zeros(1, dtype=np.int64), shape) == want
+        assert outcome(lex_global_from_local, np.zeros((63, 1), dtype=np.int64),
+                       shape) == want
+        big = np.array([2 ** 62 - 1])
+        assert lex_local_from_global(big, (2,) * 62)[:, 0].tolist() == [1] * 62

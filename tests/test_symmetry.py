@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor,
                      DimensionError, DomainError, QVector, SymmetryKind,
@@ -11,7 +11,9 @@ from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor,
                      project, qvector_to_coeffs, qvector_to_dense,
                      reconstruct, transpose_coeffs)
 
-from conftest import coefficient_tensors, random_complex_matrix
+from conftest import (coefficient_tensors, edge_floats, random_complex_matrix,
+                      tensor_outcome)
+from reference import reference_qvector_to_coeffs
 
 
 class TestClassifyBasis:
@@ -138,6 +140,13 @@ class TestQVectorMaps:
             err = max(abs(x - y) for x, y in zip((*back.a, *back.b),
                                                  (*q.a, *q.b)))
             assert err < 1e-12
+
+    @given(st.lists(edge_floats, min_size=6, max_size=6),
+           st.sampled_from([0.0, 1e-12, 0.5, 1e308]))
+    def test_bits_match_dict_build(self, values, tol):
+        q = QVector(tuple(values[:3]), tuple(values[3:]))
+        assert (tensor_outcome(qvector_to_coeffs, q, tol=tol)
+                == tensor_outcome(reference_qvector_to_coeffs, q, tol=tol))
 
     def test_realness_enforced(self):
         # A21 = 1, A12 = -1 forces a1 = 2i, which no real pair produces

@@ -1,0 +1,69 @@
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from pauligl import ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor
+from pauligl.verify import _codes, _indicator, _random_tensor, run_verification
+
+from conftest import edge_floats, tensor_outcome
+
+# The counts each suite reports whatever the seed and the BLAS: every check
+# of these suites is exact or far inside its bound.
+COUNTS = [
+    "suite orthogonality: PASS 4384/4384 (exact; products 16/16, traces "
+    "m=1 16/16, m=2 256/256, m=3 4096/4096)",
+    "suite bijection: PASS 24789/24789 (lex 18321, block 6384, "
+    "kron factorization 84; all exact)",
+    "suite closed-form: PASS 90/90 ",
+    "suite q-vector: PASS 300/300 ",
+    "suite closed-classes: PASS 201/201 ",
+]
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_suite_counts(seed):
+    report = run_verification(seed)
+    lines = report.render().splitlines()
+    for want in COUNTS:
+        assert any(line.startswith(want) for line in lines), want
+    assert report.ok and lines[-1] == "overall: PASS"
+
+
+SUPPORTS = {
+    "antisymmetric": ANTISYMMETRIC_GL4_SUPPORT,
+    "first slot": {(0, 0), (1, 0), (2, 0), (3, 0)},
+    "second slot": {(0, 0), (0, 1), (0, 2), (0, 3)},
+}
+
+
+@pytest.mark.parametrize("name", SUPPORTS)
+def test_random_tensor_matches_dict_build(name):
+    # the same generator stream as one scalar draw per real and imaginary part
+    support = sorted(SUPPORTS[name])
+    for seed in range(20):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = tensor_outcome(_random_tensor, rng, _codes(support))
+            want = tensor_outcome(CoefficientTensor, 2, {
+                i: complex(ref_rng.standard_normal(), ref_rng.standard_normal())
+                for i in support}, tol=0.0)
+            assert got == want
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_indicator_matches_dict_build():
+    for idx in np.ndindex(4, 4):
+        assert (tensor_outcome(_indicator, idx)
+                == tensor_outcome(CoefficientTensor, 2, {idx: 1.0}))
+
+
+@given(st.lists(st.builds(complex, edge_floats, edge_floats),
+                min_size=16, max_size=16))
+def test_dense_pair_matches_dict_build(values):
+    # verify_closed_forms builds its random 4x4 operands from all 16 codes
+    A = np.array(values).reshape(4, 4)
+    got = tensor_outcome(CoefficientTensor._from_codes, 2,
+                         np.arange(16, dtype=np.uint64), A.reshape(-1), 0.0)
+    want = tensor_outcome(CoefficientTensor, 2, {
+        (p, q): A[p, q] for p in range(4) for q in range(4)}, tol=0.0)
+    assert got == want
