@@ -8,15 +8,14 @@ a sign mask; symmetry classes are support sets.  See the module docstrings
 for the details of each layer.
 """
 
-from .algebra import (EPSILON, Phase, ScaledMultiIndex, basis_element, kron,
+from .algebra import (EPSILON, Phase, ScaledMultiIndex, basis_element,
                       multi_product, pauli_matrix, single_product,
                       validate_multi_index)
 from .composition import (ClosedFormReport, ComponentCheck, FamilyCheck,
                           TABULATED_ANTISYM_COMPONENTS, compose,
                           compose_antisym_gl4, compose_gl4, verify_closed_forms)
 from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor,
-                            coeff_distance, decompose, decompose_via_traces,
-                            reconstruct, trace_from_coeffs)
+                            coeff_distance, decompose, reconstruct)
 from .errors import DimensionError, DomainError, FileFormatError
 from .indexing import (BlockCuts, BlockLocal, Half, block_global_from_local,
                        block_local_from_global, lex_global_from_local,
@@ -36,15 +35,12 @@ __all__ = [
     "pauli_matrix",
     "single_product",
     "multi_product",
-    "kron",
     "basis_element",
     "validate_multi_index",
     "DEFAULT_PRUNE_TOL",
     "CoefficientTensor",
     "decompose",
-    "decompose_via_traces",
     "reconstruct",
-    "trace_from_coeffs",
     "coeff_distance",
     "compose",
     "compose_gl4",

@@ -35,7 +35,6 @@ __all__ = [
     "pauli_matrix",
     "single_product",
     "multi_product",
-    "kron",
     "basis_element",
     "validate_multi_index",
     "pack_index",
@@ -163,11 +162,6 @@ def multi_product(a, b) -> ScaledMultiIndex:
         exponent += phase.value
         out.append(lam)
     return ScaledMultiIndex(Phase(exponent % 4), tuple(out))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; entry ((ia*nb + ib), (ja*nb + jb)) = a[ia,ja]*b[ib,jb]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 #: Dense basis elements kept by ``basis_element``; a fixed count, so memory

@@ -6,20 +6,17 @@ generator basis; the coefficient attached to a multi-index is
     c(idx) = 2^-m * Tr(basis_element(idx) @ A).
 
 ``decompose`` evaluates this with a factorized transform (one 4x4 mixing pass
-per tensor factor, O(m * 4^m) total); ``decompose_via_traces`` evaluates the
-trace formula literally and is kept as the slow reference path.  Both must
-agree to 1e-13.
+per tensor factor, O(m * 4^m) total).
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import (basis_element, code_digits, distinct_codes, pack_index,
+from .algebra import (code_digits, distinct_codes, pack_index, pauli_matrix,
                       validate_multi_index)
 from .errors import DimensionError, DomainError
 
@@ -29,9 +26,7 @@ __all__ = [
     "MAX_DENSE_BYTES",
     "CoefficientTensor",
     "decompose",
-    "decompose_via_traces",
     "reconstruct",
-    "trace_from_coeffs",
     "coeff_distance",
 ]
 
@@ -126,10 +121,6 @@ class CoefficientTensor:
         values.flags.writeable = False
         self.m, self.codes, self.values, self._coeffs = m, codes, values, None
 
-    @classmethod
-    def identity(cls, m: int) -> "CoefficientTensor":
-        return cls(m, {(0,) * m: 1.0})
-
     @property
     def coeffs(self) -> MappingProxyType:
         """Read-only mapping: multi-index tuple -> coefficient, in index order."""
@@ -146,9 +137,6 @@ class CoefficientTensor:
     def coeff(self, idx) -> complex:
         """Coefficient at a multi-index; 0 where nothing is stored."""
         return self.coeffs.get(tuple(idx), 0j)
-
-    def support(self) -> frozenset:
-        return frozenset(self.coeffs)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -205,8 +193,6 @@ def _as_square(matrix) -> np.ndarray:
 #   forward:  c[mu] = sum_p FORWARD[mu, p] * block[p]   (trace formula)
 #   inverse:  block[p] = sum_mu INVERSE[p, mu] * c[mu]
 def _mixing_matrices() -> tuple[np.ndarray, np.ndarray]:
-    from .algebra import pauli_matrix
-
     forward = np.zeros((4, 4), dtype=complex)
     inverse = np.zeros((4, 4), dtype=complex)
     for mu in range(4):
@@ -271,19 +257,6 @@ def decompose(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
                                          flat[keep], 0.0)
 
 
-def decompose_via_traces(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
-    """Reference path: evaluate c(idx) = 2^-m * Tr(basis_element(idx) @ A) per index."""
-    _checked_tol(tol)
-    a = _as_square(matrix)
-    m = _order_of(a.shape[0])
-    scale = 2.0 ** -m
-    # itertools.product runs through the indices in code order
-    values = np.array([scale * complex(np.einsum("ij,ji->", basis_element(idx), a))
-                       for idx in itertools.product(range(4), repeat=m)])
-    return CoefficientTensor._from_codes(m, np.arange(4 ** m, dtype=np.uint64),
-                                         values, tol)
-
-
 def reconstruct(c: CoefficientTensor) -> np.ndarray:
     """Dense matrix equal to the coefficient-weighted sum of basis elements.
 
@@ -302,8 +275,3 @@ def reconstruct(c: CoefficientTensor) -> np.ndarray:
         raise DomainError("non-finite matrix entry: a sum of coefficients "
                           "overflows")
     return _deinterleaved(dense, c.m)
-
-
-def trace_from_coeffs(c: CoefficientTensor) -> complex:
-    """Matrix trace read off the all-zeros coefficient: 2^m * c((0,...,0))."""
-    return (2 ** c.m) * c.coeff((0,) * c.m)

@@ -15,7 +15,6 @@ Two families, both 0-based:
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -103,16 +102,8 @@ def block_global_from_local(loc: BlockLocal, cuts: BlockCuts) -> tuple[int, int]
     return i, j
 
 
-#: Distinct factor shapes whose validation the lex maps keep; a fixed count,
-#: so memory stays bounded whatever shapes callers pass.
-SHAPE_CACHE_SIZE = 128
-
-
-# Keyed on the elements with their types (typed=True), so a hit is only ever
-# an equal value of the same type: 2 and 2+0j hash alike, but int() rejects
-# the complex one.
-@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE, typed=True)
-def _checked_shape(*shape) -> tuple[tuple[int, ...], int]:
+def _validate_shape(shape) -> tuple[tuple[int, ...], int]:
+    """Factor sizes as ints and their product, or the DomainError/TypeError."""
     shape = tuple(int(s) for s in shape)
     if not shape:
         raise DomainError("factor shape must have at least one factor")
@@ -120,17 +111,6 @@ def _checked_shape(*shape) -> tuple[tuple[int, ...], int]:
         if s < 2:
             raise DomainError(f"factor sizes must be >= 2, got {s}")
     return shape, math.prod(shape)
-
-
-def _validate_shape(shape) -> tuple[tuple[int, ...], int]:
-    """Factor sizes as ints and their product, or the DomainError/TypeError."""
-    shape = tuple(shape)
-    try:
-        return _checked_shape(*shape)
-    except TypeError:
-        pass
-    # an unhashable element is no cache key; int() decides what it raises
-    return _checked_shape.__wrapped__(*shape)
 
 
 # Array results are int64, so a shape must have fewer entries than this.

@@ -132,10 +132,6 @@ class QVector:
                 raise DomainError(f"{name} has a non-finite component: {vec}")
             object.__setattr__(self, name, vec)
 
-    @classmethod
-    def zero(cls) -> "QVector":
-        return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-
 
 def _require_real(value: complex, what: str) -> float:
     if abs(value.imag) > REALNESS_TOL:

@@ -10,10 +10,14 @@ Text files: the per-token readers and writers that ``pauligl.fileio``
 replaced with row and block chunks (see the section below).
 
 Transform: the per-axis ``tensordot`` + ``moveaxis`` pass that
-``pauligl.decomposition`` replaced with one matmul and transpose per factor.
+``pauligl.decomposition`` replaced with one matmul and transpose per factor,
+and the trace formula c(idx) = 2^-m * Tr(basis_element(idx) @ A) evaluated
+one index at a time.
 
-Index maps: the lexicographic maps as they were before the validated factor
-shapes were cached.
+Index maps: the scalar lexicographic maps, one digit at a time.
+
+Closed forms: the per-entry loop that ``verify_closed_forms`` replaced with
+one array check per pair.
 
 Small tensors: ``qvector_to_coeffs`` and ``compose_antisym_gl4`` as they were
 when they built their result from a {multi-index: value} dict; the package
@@ -22,16 +26,19 @@ bits.
 """
 
 import cmath
+import itertools
 import math
 import re
 
 import numpy as np
 
 from pauligl import (DEFAULT_PRUNE_TOL, CoefficientTensor, DimensionError,
-                     DomainError, FileFormatError, multi_product)
+                     DomainError, FileFormatError, basis_element, compose,
+                     compose_gl4, multi_product)
 from pauligl.composition import _DERIVED_ANTISYM_TABLE
 from pauligl.decomposition import (_FORWARD, _INVERSE, MAX_ORDER, _as_square,
-                                   _deinterleaved, _interleaved, _order_of)
+                                   _checked_tol, _coeff_matrix, _deinterleaved,
+                                   _interleaved, _order_of)
 from pauligl.symmetry import _antisym_gl4_matrix
 
 
@@ -190,6 +197,19 @@ def reference_reconstruct(c):
     return _deinterleaved(_ref_apply_along_each_axis(dense, _INVERSE, c.m), c.m)
 
 
+def reference_decompose_via_traces(matrix, tol=DEFAULT_PRUNE_TOL):
+    """Evaluate c(idx) = 2^-m * Tr(basis_element(idx) @ A) per index."""
+    _checked_tol(tol)
+    a = _as_square(matrix)
+    m = _order_of(a.shape[0])
+    scale = 2.0 ** -m
+    # itertools.product runs through the indices in code order
+    values = np.array([scale * complex(np.einsum("ij,ji->", basis_element(idx), a))
+                       for idx in itertools.product(range(4), repeat=m)])
+    return CoefficientTensor._from_codes(m, np.arange(4 ** m, dtype=np.uint64),
+                                         values, tol)
+
+
 # -- index maps: every call validates its shape --
 
 def _ref_validate_shape(shape):
@@ -255,3 +275,37 @@ def reference_compose_antisym_gl4(a, b, tol=DEFAULT_PRUNE_TOL):
             total += scalar * A[s0][s1] * B[t0][t1]
         acc[out] = total
     return CoefficientTensor(2, acc, tol=tol)
+
+
+# -- closed forms: the family errors one entry at a time --
+
+def _ref_family_of(p, q):
+    if p == 0 and q == 0:
+        return "00"
+    if q == 0:
+        return "k0"
+    if p == 0:
+        return "0l"
+    return "kl"
+
+
+def reference_family_errors(rng, pairs):
+    """{family: largest |compose_gl4 - compose| entry} over random dense pairs,
+    drawn from rng as ``verify_closed_forms`` draws them."""
+    worst = {fam: 0.0 for fam in ("00", "k0", "0l", "kl")}
+    for _ in range(pairs):
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        a = CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
+                                          A.reshape(-1), 0.0)
+        b = CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
+                                          B.reshape(-1), 0.0)
+        general = _coeff_matrix(compose(a, b, tol=0.0)).tolist()
+        closed = _coeff_matrix(compose_gl4(a, b, tol=0.0)).tolist()
+        for p in range(4):
+            for q in range(4):
+                err = abs(closed[p][q] - general[p][q])
+                fam = _ref_family_of(p, q)
+                if err > worst[fam]:
+                    worst[fam] = err
+    return worst

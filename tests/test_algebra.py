@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pauligl import (EPSILON, DimensionError, DomainError, Phase,
-                     basis_element, kron, multi_product, pauli_matrix,
+                     basis_element, multi_product, pauli_matrix,
                      single_product, validate_multi_index)
 from pauligl.algebra import (BASIS_CACHE_SIZE, _basis_element_cached,
                              code_digits, distinct_codes, pack_index, x_bits,
@@ -13,7 +13,6 @@ from pauligl.algebra import (BASIS_CACHE_SIZE, _basis_element_cached,
 
 from conftest import multi_indices
 
-I2 = np.eye(2, dtype=complex)
 
 # frozen generator entries; everything downstream hangs on these four
 GENERATORS = {
@@ -114,21 +113,6 @@ class TestMultiProduct:
         assert np.array_equal(dense, phase.to_complex() * basis_element(idx))
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
-
-    def test_block_structure(self):
-        got = kron(pauli_matrix(3), pauli_matrix(1))
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[:2, :2] = pauli_matrix(1)
-        expected[2:, 2:] = -pauli_matrix(1)
-        assert np.array_equal(got, expected)
-
-    def test_trace_multiplies(self):
-        assert np.trace(kron(pauli_matrix(2), I2)) == 0
-
-
 class TestBasisElement:
     def test_identity_pair(self):
         assert np.array_equal(basis_element((0, 0)), np.eye(4))
@@ -138,7 +122,7 @@ class TestBasisElement:
 
     def test_matches_kron(self):
         assert np.array_equal(basis_element((3, 2)),
-                              kron(pauli_matrix(3), pauli_matrix(2)))
+                              np.kron(pauli_matrix(3), pauli_matrix(2)))
 
     def test_trace_picks_out_identity(self):
         for m in (1, 2, 3):

@@ -15,7 +15,8 @@ from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
 
 from conftest import (coefficient_tensors, complex_coeffs, edge_floats,
                       multi_indices, random_complex_matrix, tensor_outcome)
-from reference import reference_compose, reference_compose_antisym_gl4
+from reference import (reference_compose, reference_compose_antisym_gl4,
+                       reference_family_errors)
 
 ANTISYM_SORTED = sorted(ANTISYMMETRIC_GL4_SUPPORT)
 
@@ -40,7 +41,7 @@ class TestCompose:
         assert got.coeffs == {(3,): 1j}
 
     def test_identity_is_neutral(self):
-        e = CoefficientTensor.identity(2)
+        e = CoefficientTensor(2, {(0, 0): 1.0})
         a = CoefficientTensor(2, {(1, 3): 2.5 - 1j, (2, 0): 0.25j})
         assert compose(e, a).coeffs == a.coeffs
         assert compose(a, e).coeffs == a.coeffs
@@ -201,7 +202,7 @@ class TestKernelMatchesReference:
         a = decompose(random_complex_matrix(rng, 32), 0.0)
         b = decompose(random_complex_matrix(rng, 32), 0.0)
         assert len(a) == len(b) == 1024
-        compose(a, CoefficientTensor.identity(5))  # first-call setup
+        compose(a, CoefficientTensor(5, {(0,) * 5: 1.0}))  # first-call setup
         tracemalloc.start()
         try:
             compose(a, b, tol=0.0)
@@ -254,7 +255,7 @@ class TestComposeGl4:
 
     def test_scalar_identity(self):
         a = CoefficientTensor(2, {(0, 3): 5.0})
-        got = compose_gl4(CoefficientTensor.identity(2), a)
+        got = compose_gl4(CoefficientTensor(2, {(0, 0): 1.0}), a)
         assert got.coeffs == {(0, 3): 5.0}
 
     def test_exhaustive_basis_pairs(self):
@@ -368,6 +369,16 @@ class TestVerifyClosedForms:
         assert sorted(f.family for f in report.families) == ["00", "0l", "k0", "kl"]
         for fam in report.families:
             assert fam.max_error <= 1e-12
+
+    @pytest.mark.parametrize("pairs", [1, 20])
+    def test_family_errors_match_reference(self, pairs):
+        # the array check gives the per-entry loop's worst errors bit for bit
+        for seed in range(30):
+            got = verify_closed_forms(np.random.default_rng(seed), pairs)
+            want = reference_family_errors(np.random.default_rng(seed), pairs)
+            assert [(f.family, f.max_error.hex()) for f in got.families] == [
+                (fam, err.hex()) for fam, err in want.items()]
+            assert all(type(f.max_error) is float for f in got.families)
 
     def test_sixteen_components_reported(self, report):
         assert len(report.components) == 16

@@ -13,6 +13,33 @@ MODULES = ["pauligl", "pauligl.algebra", "pauligl.cli", "pauligl.composition",
            "pauligl.symmetry", "pauligl.verify"]
 
 
+# The package's public surface.  A name joins it by a decision, not by drift:
+# whatever has only test callers and carries no paper behaviour lives in
+# tests/reference.py instead.
+PUBLIC = [
+    "ANTISYMMETRIC_GL4_SUPPORT", "BlockCuts", "BlockLocal", "ClosedFormReport",
+    "CoefficientTensor", "ComponentCheck", "DEFAULT_PRUNE_TOL",
+    "DimensionError", "DomainError", "EPSILON", "FamilyCheck",
+    "FileFormatError", "Half", "Phase", "QVector", "REALNESS_TOL",
+    "ScaledMultiIndex", "SuiteResult", "SymmetryKind",
+    "TABULATED_ANTISYM_COMPONENTS", "VerificationReport", "basis_element",
+    "block_global_from_local", "block_local_from_global", "classify_basis",
+    "coeff_distance", "coeffs_to_qvector", "compose", "compose_antisym_gl4",
+    "compose_gl4", "decompose", "lex_global_from_local",
+    "lex_local_from_global", "multi_product", "pauli_matrix", "project",
+    "qvector_to_coeffs", "qvector_to_dense", "reconstruct",
+    "run_verification", "single_product", "transpose_coeffs",
+    "validate_multi_index", "verify_closed_forms",
+]
+
+
+def test_public_surface():
+    import pauligl
+    assert len(PUBLIC) == 44 and PUBLIC == sorted(PUBLIC)
+    assert len(set(pauligl.__all__)) == len(pauligl.__all__)
+    assert sorted(pauligl.__all__) == PUBLIC
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_all_resolves(module):
     mod = importlib.import_module(module)

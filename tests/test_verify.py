@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pauligl import ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor
+from pauligl import ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor, verify
+from pauligl.cli import dispatch
 from pauligl.verify import _codes, _indicator, _random_tensor, run_verification
 
 from conftest import edge_floats, tensor_outcome
@@ -27,6 +28,48 @@ def test_suite_counts(seed):
     for want in COUNTS:
         assert any(line.startswith(want) for line in lines), want
     assert report.ok and lines[-1] == "overall: PASS"
+
+
+SUITES = ["round-trip", "homomorphism", "orthogonality", "transpose",
+          "bijection", "closed-form", "q-vector", "closed-classes"]
+
+
+def suite_lines(out):
+    return {line.split(":")[0][len("suite "):]: line
+            for line in out.splitlines() if line.startswith("suite ")}
+
+
+def test_raising_suite_fails_and_the_rest_still_run(monkeypatch, capsys):
+    # array digit rows in the wrong order: the bijection suite's round trip
+    # then meets a digit outside its factor and raises
+    lex = verify.lex_local_from_global
+    monkeypatch.setattr(verify, "lex_local_from_global",
+                        lambda i, shape: lex(i, shape)[::-1])
+    assert dispatch(["verify", "--seed", "0"]) == 3
+    out = capsys.readouterr().out
+    lines = suite_lines(out)
+    assert list(lines) == SUITES
+    assert lines["bijection"].startswith(
+        "suite bijection: FAIL 0/1 (raised DomainError: local index ")
+    assert all(": PASS " in lines[name] for name in SUITES if name != "bijection")
+    assert "antisymmetric-support component table:" in out
+    assert out.splitlines()[-1] == "overall: FAIL"
+
+
+def test_ledger_line_when_closed_forms_raise(monkeypatch, capsys):
+    def broken(rng, pairs):
+        raise ValueError("no ledger")
+
+    monkeypatch.setattr(verify, "verify_closed_forms", broken)
+    assert dispatch(["verify", "--seed", "0"]) == 3
+    out = capsys.readouterr().out
+    lines = suite_lines(out)
+    assert list(lines) == SUITES
+    assert lines["closed-form"] == (
+        "suite closed-form: FAIL 0/1 (raised ValueError: no ledger)")
+    assert "closed-form ledger: not built, its suite raised" in out.splitlines()
+    assert "component families" not in out
+    assert out.splitlines()[-1] == "overall: FAIL"
 
 
 SUPPORTS = {
