@@ -13,9 +13,10 @@ factor most significant, so integer order is lexicographic order and m is at
 most 32.  Per factor, the high bit of a digit is its z bit and low ^ high its
 x bit (digit 1 is x, 3 is z, 2 is both), which is the symplectic encoding of
 Aaronson & Gottesman, "Improved simulation of stabilizer circuits" (PRA 70,
-052328, 2004).  In it the product index of two codes is their xor, and the
-product phase is i^(ny(a) + ny(b) - ny(a ^ b) + 2 |z(a) & x(b)|), where ny
-counts the digit-2 factors.
+052328, 2004).  ``code_product`` evaluates the product law on such codes and
+is the package's only source of structure constants: ``multi_product``
+applies it to one-digit codes, one per factor, and ``compose`` to whole
+packed codes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "EPSILON",
     "Phase",
     "ScaledMultiIndex",
+    "code_product",
     "pauli_matrix",
     "single_product",
     "multi_product",
@@ -93,10 +95,13 @@ _GENERATORS = (
 
 
 def _check_digit(mu) -> int:
-    mu = int(mu)
-    if mu not in (0, 1, 2, 3):
+    digit = int(mu)
+    # int() truncates 2.9 and parses "1"; neither is a digit
+    if digit != mu:
+        raise DomainError(f"generator index must be an integer, got {mu}")
+    if digit not in (0, 1, 2, 3):
         raise DomainError(f"generator index must be in 0..3, got {mu}")
-    return mu
+    return digit
 
 
 def validate_multi_index(idx) -> tuple[int, ...]:
@@ -115,33 +120,9 @@ def pauli_matrix(mu: int) -> np.ndarray:
     return _GENERATORS[_check_digit(mu)]
 
 
-# single_product(mu, nu) as a precomputed 16-entry table.  For distinct
-# nonzero digits the result digit is the remaining one and the phase is
-# i * epsilon; digit 0 and equal digits multiply to phase +1.
-def _single_table() -> dict[tuple[int, int], tuple[Phase, int]]:
-    table = {}
-    for mu in range(4):
-        for nu in range(4):
-            if mu == 0:
-                table[mu, nu] = (Phase.PLUS_ONE, nu)
-            elif nu == 0:
-                table[mu, nu] = (Phase.PLUS_ONE, mu)
-            elif mu == nu:
-                table[mu, nu] = (Phase.PLUS_ONE, 0)
-            else:
-                lam = ({1, 2, 3} - {mu, nu}).pop()
-                sign = int(EPSILON[mu - 1, nu - 1, lam - 1])
-                table[mu, nu] = (Phase.PLUS_I if sign == 1 else Phase.MINUS_I, lam)
-    return table
-
-
-_SINGLE = _single_table()
-
-
 def single_product(mu: int, nu: int) -> ScaledMultiIndex:
     """Exact product of two generators: generator(mu) @ generator(nu)."""
-    phase, lam = _SINGLE[_check_digit(mu), _check_digit(nu)]
-    return ScaledMultiIndex(phase, (lam,))
+    return multi_product((mu,), (nu,))
 
 
 def multi_product(a, b) -> ScaledMultiIndex:
@@ -155,13 +136,10 @@ def multi_product(a, b) -> ScaledMultiIndex:
     if len(a) != len(b):
         raise DimensionError(
             f"incompatible tensor orders: {len(a)} vs {len(b)}")
-    exponent = 0
-    out = []
-    for mu, nu in zip(a, b):
-        phase, lam = _SINGLE[mu, nu]
-        exponent += phase.value
-        out.append(lam)
-    return ScaledMultiIndex(Phase(exponent % 4), tuple(out))
+    # each digit is the one-factor code of itself, so no order limit applies
+    prod, exponent = code_product(np.array(a, dtype=np.uint64),
+                                  np.array(b, dtype=np.uint64))
+    return ScaledMultiIndex(Phase(int(exponent.sum()) % 4), tuple(prod.tolist()))
 
 
 #: Dense basis elements kept by ``basis_element``; a fixed count, so memory
@@ -216,6 +194,21 @@ def x_bits(codes: np.ndarray) -> np.ndarray:
 def y_counts(codes: np.ndarray) -> np.ndarray:
     """Number of digit-2 factors of each code (uint8)."""
     return np.bitwise_count(z_bits(codes) & ~codes)
+
+
+def code_product(ca: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Product law on uint64 code arrays, elementwise with broadcasting.
+
+    Returns ``(ca ^ cb, exponent)``: the basis element of code ca times the
+    one of code cb is i**exponent (uint8, in 0..3) times the one of code
+    ca ^ cb.  The exponent is ny(a) + ny(b) - ny(a ^ b) + 2 |z(a) & x(b)|
+    mod 4, where ny counts the digit-2 factors.
+    """
+    prod = ca ^ cb
+    # uint8 exponent arithmetic wraps mod 256, which keeps it right mod 4
+    exponent = (y_counts(ca) + y_counts(cb) - y_counts(prod)
+                + 2 * np.bitwise_count(z_bits(ca) & x_bits(cb))) & 3
+    return prod, exponent
 
 
 def distinct_codes(codes: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 The product of two basis elements is a single phased basis element, so the
 product of two coefficient tensors is a bilinear combination over stored
 pairs.  ``compose`` is that general path for any tensor order; it works on
-the packed codes of ``pauligl.algebra``, where the product index of two terms
-is the xor of their codes and the phase is a popcount formula.
+the packed codes of ``pauligl.algebra`` and takes the product index and
+phase of each term pair from ``code_product``.
 
 For order 2 (4x4 matrices) two closed-form paths are shipped alongside:
 ``compose_gl4`` evaluates the four component families of the product law
@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (EPSILON, Phase, distinct_codes, multi_product, x_bits,
-                      y_counts, z_bits)
+from .algebra import EPSILON, Phase, code_product, distinct_codes, multi_product
 from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor, _checked_tol,
                             _coeff_matrix)
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 from .symmetry import ANTISYMMETRIC_GL4_SUPPORT, _antisym_gl4_matrix
 
 __all__ = [
@@ -96,17 +95,12 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
     blocks = _row_blocks(a, b)
     out = _output_codes(ca, cb, blocks)
     acc = np.zeros(len(out), dtype=complex)
-    # uint8 exponent arithmetic wraps mod 256, which keeps it right mod 4
-    ny_a, ny_b = y_counts(ca), y_counts(cb)
-    z_a, x_b = z_bits(ca), x_bits(cb)
     ar, ai = a.values.real[:, None], a.values.imag[:, None]
     br, bi = b.values.real, b.values.imag
     # an overflow shows up as a non-finite sum, which _from_codes rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for blk in blocks:
-            prod = ca[blk, None] ^ cb
-            exponent = (ny_a[blk, None] + ny_b - y_counts(prod)
-                        + 2 * np.bitwise_count(z_a[blk, None] & x_b)) & 3
+            prod, exponent = code_product(ca[blk, None], cb)
             pr = ar[blk] * br - ai[blk] * bi
             pi = ar[blk] * bi + ai[blk] * br
             fr, fi = _PHASE_RE[exponent], _PHASE_IM[exponent]
@@ -317,6 +311,8 @@ def verify_closed_forms(rng: np.random.Generator | None = None,
     report content, not exceptions: they document the tabulated formulas,
     not this implementation.
     """
+    if pairs < 1:
+        raise DomainError(f"need at least one random pair, got {pairs}")
     if rng is None:
         rng = np.random.default_rng(0)
 

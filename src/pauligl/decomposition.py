@@ -64,6 +64,14 @@ def _check_dense_size(m: int) -> None:
             f"{MAX_DENSE_BYTES}-byte limit")
 
 
+def _checked_index(idx, m: int) -> tuple[int, ...]:
+    idx = validate_multi_index(idx)
+    if len(idx) != m:
+        raise DimensionError(
+            f"multi-index {idx} has {len(idx)} factors, expected {m}")
+    return idx
+
+
 class CoefficientTensor:
     """Sparse coefficients of one matrix over the generator basis.
 
@@ -84,10 +92,7 @@ class CoefficientTensor:
         items = coeffs.items() if hasattr(coeffs, "items") else (coeffs or ())
         entries = {}
         for idx, value in items:
-            idx = validate_multi_index(idx)
-            if len(idx) != m:
-                raise DimensionError(
-                    f"multi-index {idx} has {len(idx)} factors, expected {m}")
+            idx = _checked_index(idx, m)
             value = complex(value)
             if not cmath.isfinite(value):
                 raise DomainError(f"non-finite coefficient at {idx}")
@@ -136,7 +141,7 @@ class CoefficientTensor:
 
     def coeff(self, idx) -> complex:
         """Coefficient at a multi-index; 0 where nothing is stored."""
-        return self.coeffs.get(tuple(idx), 0j)
+        return self.coeffs.get(_checked_index(idx, self.m), 0j)
 
     def __len__(self) -> int:
         return len(self.codes)

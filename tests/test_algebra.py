@@ -1,15 +1,17 @@
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pauligl import (EPSILON, DimensionError, DomainError, Phase,
-                     basis_element, multi_product, pauli_matrix,
+from pauligl import (EPSILON, CoefficientTensor, DimensionError, DomainError,
+                     Phase, basis_element, multi_product, pauli_matrix,
                      single_product, validate_multi_index)
 from pauligl.algebra import (BASIS_CACHE_SIZE, _basis_element_cached,
-                             code_digits, distinct_codes, pack_index, x_bits,
-                             y_counts, z_bits)
+                             code_digits, code_product, distinct_codes,
+                             pack_index, y_counts)
 
 from conftest import multi_indices
 
@@ -76,6 +78,20 @@ class TestSingleProduct:
         phase, lam = single_product(*pair)
         assert (phase, lam) == (expected[0], (expected[1],))
 
+    def test_pinned_to_epsilon(self):
+        # the Levi-Civita case analysis: for distinct nonzero digits the
+        # product is i * epsilon times the remaining generator; digit 0 and
+        # equal digits multiply to phase +1
+        for mu, nu in itertools.product(range(4), repeat=2):
+            phase, idx = single_product(mu, nu)
+            if mu and nu and mu != nu:
+                lam = 6 - mu - nu
+                assert idx == (lam,)
+                assert phase.to_complex() == 1j * EPSILON[mu - 1, nu - 1, lam - 1]
+            else:
+                assert phase is Phase.PLUS_ONE
+                assert idx == (mu + nu if 0 in (mu, nu) else 0,)
+
     def test_exhaustive_against_dense(self):
         for mu in range(4):
             for nu in range(4):
@@ -111,6 +127,15 @@ class TestMultiProduct:
         phase, idx = multi_product(a, b)
         dense = basis_element(a) @ basis_element(b)
         assert np.array_equal(dense, phase.to_complex() * basis_element(idx))
+
+    @given(st.tuples(multi_indices(40), multi_indices(40)))
+    def test_factorwise_beyond_packed_order(self, pair):
+        # 40 factors do not fit one 64-bit code; the product is per factor
+        a, b = pair
+        phase, idx = multi_product(a, b)
+        singles = [single_product(mu, nu) for mu, nu in zip(a, b)]
+        assert idx == tuple(lam for _, (lam,) in singles)
+        assert phase is functools.reduce(operator.mul, [p for p, _ in singles])
 
 
 class TestBasisElement:
@@ -150,6 +175,27 @@ class TestValidateMultiIndex:
         with pytest.raises(DimensionError):
             validate_multi_index(())
 
+    @pytest.mark.parametrize("digit", [2.9, 1.5, -0.5, "1"])
+    def test_rejects_non_integral(self, digit):
+        with pytest.raises(DomainError, match="must be an integer"):
+            validate_multi_index((1, digit))
+        with pytest.raises(DomainError):
+            basis_element((digit,))
+        with pytest.raises(DomainError):
+            multi_product((digit,), (1,))
+        with pytest.raises(DomainError):
+            CoefficientTensor(1, {(digit,): 1.0})
+
+    def test_accepts_integral_values(self):
+        assert validate_multi_index((1, 1.0, np.int64(1))) == (1, 1, 1)
+        assert all(type(mu) is int for mu in validate_multi_index((1.0, np.int64(2))))
+
+    def test_out_of_range_message(self):
+        for digit in (7, np.int64(7)):
+            with pytest.raises(DomainError) as err:
+                validate_multi_index((digit,))
+            assert str(err.value) == "generator index must be in 0..3, got 7"
+
 
 class TestBasisCache:
     def test_cache_is_bounded(self):
@@ -157,13 +203,8 @@ class TestBasisCache:
         assert BASIS_CACHE_SIZE is not None and BASIS_CACHE_SIZE <= 1024
 
 
-def packed_phase(code_a, code_b):
-    """Product phase from the (x, z) popcount formula on packed codes."""
-    a = np.array([code_a], dtype=np.uint64)
-    b = np.array([code_b], dtype=np.uint64)
-    exponent = (int(y_counts(a)[0]) + int(y_counts(b)[0]) - int(y_counts(a ^ b)[0])
-                + 2 * int(np.bitwise_count(z_bits(a) & x_bits(b))[0]))
-    return Phase(exponent % 4)
+def packed(idx):
+    return np.array([pack_index(idx)], dtype=np.uint64)
 
 
 class TestPackedCodes:
@@ -194,17 +235,21 @@ class TestPackedCodes:
         assert distinct_codes(codes).tolist() == [1, 3, 5]
         assert distinct_codes(np.empty(0, dtype=np.uint64)).size == 0
 
+    # code_product on whole packed codes against multi_product, which applies
+    # it to one-digit codes factor by factor
     def test_xor_and_phase_exhaustive_m2(self):
         for mu in itertools.product(range(4), repeat=2):
             for nu in itertools.product(range(4), repeat=2):
                 phase, lam = multi_product(mu, nu)
-                assert pack_index(mu) ^ pack_index(nu) == pack_index(lam)
-                assert packed_phase(pack_index(mu), pack_index(nu)) is phase
+                prod, exponent = code_product(packed(mu), packed(nu))
+                assert prod.tolist() == [pack_index(lam)]
+                assert Phase(int(exponent[0])) is phase
 
     @given(st.integers(1, 32).flatmap(lambda m: st.tuples(multi_indices(m),
                                                           multi_indices(m))))
     def test_xor_and_phase_property(self, pair):
         mu, nu = pair
         phase, lam = multi_product(mu, nu)
-        assert pack_index(mu) ^ pack_index(nu) == pack_index(lam)
-        assert packed_phase(pack_index(mu), pack_index(nu)) is phase
+        prod, exponent = code_product(packed(mu), packed(nu))
+        assert prod.tolist() == [pack_index(lam)]
+        assert Phase(int(exponent[0])) is phase

@@ -380,6 +380,12 @@ class TestVerifyClosedForms:
                 (fam, err.hex()) for fam, err in want.items()]
             assert all(type(f.max_error) is float for f in got.families)
 
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_needs_a_pair(self, pairs):
+        # over no pairs every family would read CONFIRMED with error 0
+        with pytest.raises(DomainError):
+            verify_closed_forms(np.random.default_rng(0), pairs)
+
     def test_sixteen_components_reported(self, report):
         assert len(report.components) == 16
         assert {c.index for c in report.components} == set(

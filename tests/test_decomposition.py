@@ -38,6 +38,17 @@ class TestCoefficientTensor:
     def test_coeff_default(self):
         assert CoefficientTensor(2, {}).coeff((1, 1)) == 0j
 
+    def test_coeff_validates_index(self):
+        c = CoefficientTensor(2, {(1, 3): 2.0})
+        assert c.coeff([1, 3]) == c.coeff((np.int64(1), 3.0)) == 2.0
+        with pytest.raises(DomainError):
+            c.coeff((1, 7))
+        with pytest.raises(DomainError):
+            c.coeff("10")
+        with pytest.raises(DimensionError,
+                           match=r"multi-index \(1,\) has 1 factors, expected 2"):
+            c.coeff((1,))
+
     def test_wrong_index_length(self):
         with pytest.raises(DimensionError):
             CoefficientTensor(2, {(1,): 1.0})
