@@ -94,11 +94,16 @@ _GENERATORS = (
 )
 
 
+def _checked_integer(value, what: str) -> int:
+    integer = int(value)
+    # int() truncates 2.9 and parses "1"; neither is an integer
+    if integer != value:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return integer
+
+
 def _check_digit(mu) -> int:
-    digit = int(mu)
-    # int() truncates 2.9 and parses "1"; neither is a digit
-    if digit != mu:
-        raise DomainError(f"generator index must be an integer, got {mu}")
+    digit = _checked_integer(mu, "generator index")
     if digit not in (0, 1, 2, 3):
         raise DomainError(f"generator index must be in 0..3, got {mu}")
     return digit

@@ -6,28 +6,27 @@ pairs.  ``compose`` is that general path for any tensor order; it works on
 the packed codes of ``pauligl.algebra`` and takes the product index and
 phase of each term pair from ``code_product``.
 
-For order 2 (4x4 matrices) two closed-form paths are shipped alongside:
-``compose_gl4`` evaluates the four component families of the product law
-directly, and ``compose_antisym_gl4`` evaluates a 16-component table valid
-when both inputs are supported on the six antisymmetric basis indices.
-Both closed forms are treated as claims: ``verify_closed_forms`` checks every
-component against the general path and reports each tabulated formula as
-CONFIRMED or MISMATCH with the derived correction.  The shipped evaluators
-always use the derived (structure-constant) terms, which coincide with the
-tabulated ones wherever those are confirmed.
+For order 2 (4x4 matrices) the paper gives two closed forms.  ``compose_gl4``
+evaluates the four component families of the product law directly.  The
+16-component table for inputs on the six antisymmetric basis indices is only
+a claim: ``compose_antisym_gl4`` checks that support and runs ``compose``.
+``verify_closed_forms`` checks both forms against ``compose`` and reports each
+tabulated formula as CONFIRMED or MISMATCH with the derived correction.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPSILON, Phase, code_product, distinct_codes, multi_product
+from .algebra import EPSILON, Phase, code_product, distinct_codes
 from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor, _checked_tol,
                             _coeff_matrix)
 from .errors import DimensionError, DomainError
-from .symmetry import ANTISYMMETRIC_GL4_SUPPORT, _antisym_gl4_matrix
+from .symmetry import (ANTISYMMETRIC_GL4_SUPPORT, _ANTISYM_GL4_CODES,
+                       _check_antisym_gl4)
 
 __all__ = [
     "compose",
@@ -158,11 +157,11 @@ def _derived_antisym_table() -> dict[tuple, tuple]:
     sigma_s sigma_t is one phased basis element, so each output component is
     a short bilinear form in the input coefficients.
     """
-    table: dict[tuple, list] = {(p, q): [] for p in range(4) for q in range(4)}
-    for s in sorted(ANTISYMMETRIC_GL4_SUPPORT):
-        for t in sorted(ANTISYMMETRIC_GL4_SUPPORT):
-            phase, lam = multi_product(s, t)
-            table[lam].append((s, t, phase.to_complex()))
+    prod, exponent = code_product(_ANTISYM_GL4_CODES[:, None], _ANTISYM_GL4_CODES)
+    table: dict[tuple, list] = {divmod(code, 4): [] for code in range(16)}
+    pairs = itertools.product(sorted(ANTISYMMETRIC_GL4_SUPPORT), repeat=2)
+    for (s, t), code, e in zip(pairs, prod.ravel().tolist(), exponent.ravel().tolist()):
+        table[divmod(code, 4)].append((s, t, Phase(e).to_complex()))
     return {k: tuple(v) for k, v in table.items()}
 
 
@@ -170,11 +169,10 @@ _DERIVED_ANTISYM_TABLE = _derived_antisym_table()
 
 # Tabulated 16-component formulas for products of antisymmetric-support
 # tensors, transcribed as term lists (input index A, input index B, scalar).
-# These are validation targets, not the executable path: verify_closed_forms
-# compares each against the general product.  One component, C21, fails the
-# check (its tabulated scalar on the (2,3)x(0,2) term is +1 where the
-# structure constants give -i); the derived table above carries the
-# correction.
+# These are validation targets, not an executable path: verify_closed_forms
+# compares each against the derived table above.  One component, C21, fails
+# the check (its tabulated scalar on the (2,3)x(0,2) term is +1 where the
+# structure constants give -i); the derived table carries the correction.
 TABULATED_ANTISYM_COMPONENTS: dict[tuple, tuple] = {
     (0, 0): (((0, 2), (0, 2), 1), ((1, 2), (1, 2), 1), ((2, 3), (2, 3), 1),
              ((2, 0), (2, 0), 1), ((2, 1), (2, 1), 1), ((3, 2), (3, 2), 1)),
@@ -198,22 +196,14 @@ TABULATED_ANTISYM_COMPONENTS: dict[tuple, tuple] = {
 
 def compose_antisym_gl4(a: CoefficientTensor, b: CoefficientTensor,
                         tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
-    """Closed-form product for order-2 tensors with antisymmetric support.
+    """Product of order-2 tensors with antisymmetric support; equals ``compose``.
 
     Both inputs must be supported on the six antisymmetric basis indices.
     The output generally is not (the class is not closed under products).
     """
-    # summed as Python complex numbers, term by term in table order
-    A = _antisym_gl4_matrix(a, "left factor").tolist()
-    B = _antisym_gl4_matrix(b, "right factor").tolist()
-    acc = []
-    for terms in _DERIVED_ANTISYM_TABLE.values():  # in code order
-        total = 0j
-        for (s0, s1), (t0, t1), scalar in terms:
-            total += scalar * A[s0][s1] * B[t0][t1]
-        acc.append(total)
-    return CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
-                                         np.array(acc), tol)
+    _check_antisym_gl4(a, "left factor")
+    _check_antisym_gl4(b, "right factor")
+    return compose(a, b, tol)
 
 
 # -- validation report --------------------------------------------------------
@@ -246,7 +236,7 @@ def _term_map(terms) -> dict:
 
 @dataclass(frozen=True)
 class FamilyCheck:
-    """Random-pair agreement of one compose_gl4 component family with compose."""
+    """Random-pair agreement of one family of compose_gl4's product law with compose."""
     family: str
     pairs: int
     max_error: float
@@ -324,8 +314,7 @@ def verify_closed_forms(rng: np.random.Generator | None = None,
                                           A.reshape(-1), 0.0)
         b = CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
                                           B.reshape(-1), 0.0)
-        d = (_coeff_matrix(compose_gl4(a, b, tol=0.0))
-             - _coeff_matrix(compose(a, b, tol=0.0)))
+        d = _gl4_product_array(A, B) - _coeff_matrix(compose(a, b, 0.0))
         # np.hypot is abs() of a Python complex, bit for bit
         np.maximum(worst, np.hypot(d.real, d.imag), out=worst)
     families = tuple(FamilyCheck(fam, pairs, float(worst[part].max()))

@@ -16,8 +16,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import (code_digits, distinct_codes, pack_index, pauli_matrix,
-                      validate_multi_index)
+from .algebra import (_checked_integer, code_digits, distinct_codes, pack_index,
+                      pauli_matrix, validate_multi_index)
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -48,7 +48,7 @@ def _checked_tol(tol: float) -> float:
 
 
 def _checked_order(m) -> int:
-    m = int(m)
+    m = _checked_integer(m, "tensor order")
     if m < 1:
         raise DimensionError(f"tensor order must be >= 1, got {m}")
     if m > MAX_ORDER:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _checked_integer
 from .errors import DomainError
 
 __all__ = [
@@ -51,6 +52,8 @@ class BlockCuts:
     col_cut: int
 
     def __post_init__(self):
+        for name in ("n", "row_cut", "col_cut"):
+            object.__setattr__(self, name, _checked_integer(getattr(self, name), name))
         if self.n < 2:
             raise DomainError(f"matrix side must be >= 2, got {self.n}")
         if not 0 < self.row_cut < self.n:
@@ -73,6 +76,7 @@ class BlockLocal:
 
 def block_local_from_global(i: int, j: int, cuts: BlockCuts) -> BlockLocal:
     """Locate global entry (i, j) as (block, local offset)."""
+    i, j = _checked_integer(i, "row index"), _checked_integer(j, "col index")
     if not 0 <= i < cuts.n or not 0 <= j < cuts.n:
         raise DomainError(
             f"index ({i}, {j}) out of range for side {cuts.n}")
@@ -89,16 +93,16 @@ def block_local_from_global(i: int, j: int, cuts: BlockCuts) -> BlockLocal:
 
 def block_global_from_local(loc: BlockLocal, cuts: BlockCuts) -> tuple[int, int]:
     """Inverse of :func:`block_local_from_global`."""
+    r = _checked_integer(loc.local_row, "local row")
+    c = _checked_integer(loc.local_col, "local col")
     row_size = cuts.row_cut if loc.block_row is Half.LOW else cuts.n - cuts.row_cut
     col_size = cuts.col_cut if loc.block_col is Half.LOW else cuts.n - cuts.col_cut
-    if not 0 <= loc.local_row < row_size:
-        raise DomainError(
-            f"local row {loc.local_row} out of range for block height {row_size}")
-    if not 0 <= loc.local_col < col_size:
-        raise DomainError(
-            f"local col {loc.local_col} out of range for block width {col_size}")
-    i = loc.local_row if loc.block_row is Half.LOW else cuts.row_cut + loc.local_row
-    j = loc.local_col if loc.block_col is Half.LOW else cuts.col_cut + loc.local_col
+    if not 0 <= r < row_size:
+        raise DomainError(f"local row {r} out of range for block height {row_size}")
+    if not 0 <= c < col_size:
+        raise DomainError(f"local col {c} out of range for block width {col_size}")
+    i = r if loc.block_row is Half.LOW else cuts.row_cut + r
+    j = c if loc.block_col is Half.LOW else cuts.col_cut + c
     return i, j
 
 
@@ -178,7 +182,7 @@ def lex_global_from_local(locals_, shape):
     shape, size = _validate_shape(shape)
     if isinstance(locals_, np.ndarray):
         return _lex_global_array(locals_, shape, size)
-    locals_ = tuple(int(v) for v in locals_)
+    locals_ = tuple(_checked_integer(v, "local index") for v in locals_)
     if len(locals_) != len(shape):
         raise DomainError(
             f"expected {len(shape)} local indices, got {len(locals_)}")
@@ -208,7 +212,7 @@ def lex_local_from_global(i, shape):
             raise DomainError(
                 f"global index {i[bad][0]} out of range for shape of size {size}")
         return i.astype(np.int64) // place % sizes
-    i = int(i)
+    i = _checked_integer(i, "global index")
     if not 0 <= i < size:
         raise DomainError(
             f"global index {i} out of range for shape of size {size}")

@@ -82,9 +82,9 @@ def antisymmetric_mask(c: CoefficientTensor) -> np.ndarray:
     return (y_counts(c.codes) & 1).astype(bool)
 
 
-def _antisym_gl4_matrix(c: CoefficientTensor, operand: str) -> np.ndarray:
-    """4x4 coefficient array of an order-2 tensor on the six antisymmetric
-    indices; otherwise an error that names the tensor as ``operand``."""
+def _check_antisym_gl4(c: CoefficientTensor, operand: str) -> None:
+    """Refuse a tensor that is not of order 2 on the six antisymmetric
+    indices, with an error that names it as ``operand``."""
     if c.m != 2:
         raise DimensionError(f"{operand} must have tensor order 2, got {c.m}")
     outside = c.codes[~antisymmetric_mask(c)]
@@ -92,7 +92,6 @@ def _antisym_gl4_matrix(c: CoefficientTensor, operand: str) -> np.ndarray:
         indices = list(map(tuple, code_digits(outside, 2).tolist()))
         raise DomainError(f"{operand} has support outside the six "
                           f"antisymmetric indices: {indices}")
-    return _coeff_matrix(c)
 
 
 def transpose_coeffs(c: CoefficientTensor) -> CoefficientTensor:
@@ -148,7 +147,8 @@ def coeffs_to_qvector(c: CoefficientTensor) -> QVector:
     above are inverted directly.  Coefficient patterns that would force a or
     b off the real axis (beyond REALNESS_TOL) are rejected.
     """
-    A = _antisym_gl4_matrix(c, "q-vector input").tolist()
+    _check_antisym_gl4(c, "q-vector input")
+    A = _coeff_matrix(c).tolist()
     a = (1j * (A[2][1] - A[1][2]),
          1j * (-A[2][0] - A[2][3]),
          1j * (A[0][2] + A[3][2]))

@@ -19,10 +19,13 @@ Index maps: the scalar lexicographic maps, one digit at a time.
 Closed forms: the per-entry loop that ``verify_closed_forms`` replaced with
 one array check per pair.
 
-Small tensors: ``qvector_to_coeffs`` and ``compose_antisym_gl4`` as they were
-when they built their result from a {multi-index: value} dict; the package
-now passes code arrays to ``CoefficientTensor._from_codes``, with the same
-bits.
+Small tensors: ``qvector_to_coeffs`` as it was when it built its result from
+a {multi-index: value} dict; the package now passes code arrays to
+``CoefficientTensor._from_codes``, with the same bits.
+
+Antisymmetric closed form: the derived 16-component table built with one
+``multi_product`` per input pair, and the term-by-term evaluator of that
+table that ``compose_antisym_gl4`` replaced with a call to ``compose``.
 """
 
 import cmath
@@ -32,14 +35,14 @@ import re
 
 import numpy as np
 
-from pauligl import (DEFAULT_PRUNE_TOL, CoefficientTensor, DimensionError,
-                     DomainError, FileFormatError, basis_element, compose,
-                     compose_gl4, multi_product)
-from pauligl.composition import _DERIVED_ANTISYM_TABLE
+from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
+                     CoefficientTensor, DimensionError, DomainError,
+                     FileFormatError, basis_element, compose, compose_gl4,
+                     multi_product)
 from pauligl.decomposition import (_FORWARD, _INVERSE, MAX_ORDER, _as_square,
                                    _checked_tol, _coeff_matrix, _deinterleaved,
                                    _interleaved, _order_of)
-from pauligl.symmetry import _antisym_gl4_matrix
+from pauligl.symmetry import _check_antisym_gl4
 
 
 def reference_compose(a, b, tol=DEFAULT_PRUNE_TOL) -> dict:
@@ -265,11 +268,28 @@ def reference_qvector_to_coeffs(q, tol=DEFAULT_PRUNE_TOL):
     return CoefficientTensor(2, coeffs, tol=tol)
 
 
+def reference_derived_antisym_table() -> dict:
+    """{output index: ((s, t, scalar), ...)} over the 36 ordered pairs of
+    antisymmetric basis indices, one ``multi_product`` per pair."""
+    table = {(p, q): [] for p in range(4) for q in range(4)}
+    for s in sorted(ANTISYMMETRIC_GL4_SUPPORT):
+        for t in sorted(ANTISYMMETRIC_GL4_SUPPORT):
+            phase, lam = multi_product(s, t)
+            table[lam].append((s, t, phase.to_complex()))
+    return {k: tuple(v) for k, v in table.items()}
+
+
+_REF_ANTISYM_TABLE = reference_derived_antisym_table()
+
+
 def reference_compose_antisym_gl4(a, b, tol=DEFAULT_PRUNE_TOL):
-    A = _antisym_gl4_matrix(a, "left factor").tolist()
-    B = _antisym_gl4_matrix(b, "right factor").tolist()
+    """The 16-component table evaluated term by term with Python complex
+    numbers, in table order."""
+    _check_antisym_gl4(a, "left factor")
+    _check_antisym_gl4(b, "right factor")
+    A, B = _coeff_matrix(a).tolist(), _coeff_matrix(b).tolist()
     acc = {}
-    for out, terms in _DERIVED_ANTISYM_TABLE.items():
+    for out, terms in _REF_ANTISYM_TABLE.items():
         total = 0j
         for (s0, s1), (t0, t1), scalar in terms:
             total += scalar * A[s0][s1] * B[t0][t1]

@@ -16,7 +16,7 @@ from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
 from conftest import (coefficient_tensors, complex_coeffs, edge_floats,
                       multi_indices, random_complex_matrix, tensor_outcome)
 from reference import (reference_compose, reference_compose_antisym_gl4,
-                       reference_family_errors)
+                       reference_derived_antisym_table, reference_family_errors)
 
 ANTISYM_SORTED = sorted(ANTISYMMETRIC_GL4_SUPPORT)
 
@@ -325,6 +325,15 @@ class TestComposeAntisymGl4:
             for k in (0, 6))
         assert (tensor_outcome(compose_antisym_gl4, a, b, tol=tol)
                 == tensor_outcome(reference_compose_antisym_gl4, a, b, tol=tol))
+
+    def test_derived_table_matches_multi_product_build(self):
+        # keys, term order, and each scalar's type and bits (signed zeros too)
+        def exact(table):
+            return [(out, [(s, t, [type(d) for d in s + t], type(x),
+                            x.real.hex(), x.imag.hex()) for s, t, x in terms])
+                    for out, terms in table.items()]
+        assert (exact(composition._DERIVED_ANTISYM_TABLE)
+                == exact(reference_derived_antisym_table()))
 
     def test_rejects_outside_support(self):
         good = indicator((2, 0))

@@ -65,6 +65,18 @@ class TestCoefficientTensor:
         with pytest.raises(DimensionError):
             CoefficientTensor(0, {})
 
+    @pytest.mark.parametrize("m", [2.5, "2", 1.999])
+    def test_non_integral_order(self, m):
+        # int() made each of these an order-1 or order-2 tensor
+        with pytest.raises(DomainError,
+                           match="tensor order must be an integer, got "):
+            CoefficientTensor(m, {(1, 1): 1.0})
+
+    def test_integral_order_accepted(self):
+        for m in (2.0, np.int64(2)):
+            c = CoefficientTensor(m, {(1, 1): 1.0})
+            assert type(c.m) is int and c.coeffs == {(1, 1): 1.0}
+
     def test_negative_tol(self):
         with pytest.raises(DomainError):
             CoefficientTensor(1, {}, tol=-1.0)

@@ -81,6 +81,30 @@ class TestBlockMaps:
         with pytest.raises(DomainError):
             BlockCuts(1, 1, 1)
 
+    @pytest.mark.parametrize("args", [(4.5, 1, 1), (4, 1.5, 1), (4, 1, "2")])
+    def test_non_integral_cuts(self, args):
+        with pytest.raises(DomainError, match="must be an integer"):
+            BlockCuts(*args)
+
+    def test_integral_cuts_stored_as_ints(self):
+        cuts = BlockCuts(4.0, np.int64(2), 2)
+        assert cuts == BlockCuts(4, 2, 2)
+        assert [type(v) for v in (cuts.n, cuts.row_cut, cuts.col_cut)] == [int] * 3
+        assert block_local_from_global(3, 1, cuts) == BlockLocal(
+            Half.HIGH, Half.LOW, 1, 1)
+
+    @pytest.mark.parametrize("i, j", [(1.5, 0), (0, 2.5), ("1", 0)])
+    def test_non_integral_global(self, i, j):
+        # truncated to a local offset of 0.5 (or parsed from text) before
+        with pytest.raises(DomainError, match="must be an integer"):
+            block_local_from_global(i, j, BlockCuts(4, 1, 1))
+
+    @pytest.mark.parametrize("row, col", [(0.5, 0), (0, 1.5)])
+    def test_non_integral_local(self, row, col):
+        with pytest.raises(DomainError, match="must be an integer"):
+            block_global_from_local(
+                BlockLocal(Half.LOW, Half.HIGH, row, col), self.CUTS)
+
     def test_block_diagonal_detection(self):
         # off-diagonal blocks of a block-diagonal matrix hold only zeros
         cuts = BlockCuts(4, 2, 2)
@@ -132,6 +156,25 @@ class TestLexMaps:
             lex_local_from_global(4, (2, 2))
         with pytest.raises(DomainError):
             lex_local_from_global(-1, (2, 2))
+
+    @pytest.mark.parametrize("locals_", [(1.5, 0), (0, 0.5), ("1", 0)])
+    def test_non_integral_local_index(self, locals_):
+        # (1.5, 0) was truncated to (1, 0), giving global index 2
+        with pytest.raises(DomainError,
+                           match="local index must be an integer, got "):
+            lex_global_from_local(locals_, (2, 2))
+
+    @pytest.mark.parametrize("i", [2.7, 0.5, "2"])
+    def test_non_integral_global_index(self, i):
+        # 2.7 was truncated to 2, giving (1, 0)
+        with pytest.raises(DomainError,
+                           match="global index must be an integer, got "):
+            lex_local_from_global(i, (2, 2))
+
+    def test_integral_scalars_accepted(self):
+        assert lex_global_from_local((1.0, np.int64(1)), (2, 2)) == 3
+        assert lex_local_from_global(2.0, (2, 2)) == (1, 0)
+        assert lex_local_from_global(np.uint8(3), (2, 2)) == (1, 1)
 
     def test_factor_size_floor(self):
         with pytest.raises(DomainError):
