@@ -6,10 +6,10 @@ pairs.  ``compose`` is that general path for any tensor order; it works on
 the packed codes of ``pauligl.algebra`` and takes the product index and
 phase of each term pair from ``code_product``.
 
-For order 2 (4x4 matrices) the paper gives two closed forms.  ``compose_gl4``
-evaluates the four component families of the product law directly.  The
-16-component table for inputs on the six antisymmetric basis indices is only
-a claim: ``compose_antisym_gl4`` checks that support and runs ``compose``.
+For order 2 (4x4 matrices) the paper gives two closed forms, a four-family
+product law and a 16-component table for the six antisymmetric basis
+indices.  Both are claims only: ``compose_gl4`` checks the order and
+``compose_antisym_gl4`` the support, and each then runs ``compose``.
 ``verify_closed_forms`` checks both forms against ``compose`` and reports each
 tabulated formula as CONFIRMED or MISMATCH with the derived correction.
 """
@@ -110,11 +110,8 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
     return CoefficientTensor._from_codes(a.m, out, acc, tol)
 
 
-# an overflow leaves inf or nan in the result, which CoefficientTensor
-# rejects as a DomainError; numpy's warning would only echo it to stderr
-@np.errstate(over="ignore", invalid="ignore")
 def _gl4_product_array(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Four-family product law on 4x4 coefficient arrays.
+    """The paper's four-family product law on 4x4 coefficient arrays (a claim).
 
     Splits each array into the scalar part (0,0), first-slot vector part
     (k,0), second-slot vector part (0,l), and tensor part (k,l), k,l in 1..3.
@@ -142,10 +139,11 @@ def _gl4_product_array(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def compose_gl4(a: CoefficientTensor, b: CoefficientTensor,
                 tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
-    """Closed-form product for order-2 tensors; agrees with ``compose``."""
-    C = _gl4_product_array(_coeff_matrix(a), _coeff_matrix(b))
-    return CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
-                                         C.reshape(-1), tol)
+    """Product of order-2 tensors; equals ``compose``."""
+    for c in (a, b):
+        if c.m != 2:
+            raise DimensionError(f"closed form requires tensor order 2, got {c.m}")
+    return compose(a, b, tol)
 
 
 # -- antisymmetric-support closed form ---------------------------------------
@@ -236,7 +234,7 @@ def _term_map(terms) -> dict:
 
 @dataclass(frozen=True)
 class FamilyCheck:
-    """Random-pair agreement of one family of compose_gl4's product law with compose."""
+    """Random-pair agreement of one family of _gl4_product_array with compose."""
     family: str
     pairs: int
     max_error: float

@@ -108,7 +108,7 @@ def block_global_from_local(loc: BlockLocal, cuts: BlockCuts) -> tuple[int, int]
 
 def _validate_shape(shape) -> tuple[tuple[int, ...], int]:
     """Factor sizes as ints and their product, or the DomainError/TypeError."""
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(_checked_integer(s, "factor size") for s in shape)
     if not shape:
         raise DomainError("factor shape must have at least one factor")
     for s in shape:

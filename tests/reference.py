@@ -17,7 +17,8 @@ one index at a time.
 Index maps: the scalar lexicographic maps, one digit at a time.
 
 Closed forms: the per-entry loop that ``verify_closed_forms`` replaced with
-one array check per pair.
+one array check per pair, and ``compose_gl4`` as it was when it evaluated
+the four-family product law, before it became a call to ``compose``.
 
 Small tensors: ``qvector_to_coeffs`` as it was when it built its result from
 a {multi-index: value} dict; the package now passes code arrays to
@@ -37,8 +38,8 @@ import numpy as np
 
 from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
                      CoefficientTensor, DimensionError, DomainError,
-                     FileFormatError, basis_element, compose, compose_gl4,
-                     multi_product)
+                     FileFormatError, basis_element, compose, multi_product)
+from pauligl.composition import _gl4_product_array
 from pauligl.decomposition import (_FORWARD, _INVERSE, MAX_ORDER, _as_square,
                                    _checked_tol, _coeff_matrix, _deinterleaved,
                                    _interleaved, _order_of)
@@ -216,7 +217,13 @@ def reference_decompose_via_traces(matrix, tol=DEFAULT_PRUNE_TOL):
 # -- index maps: every call validates its shape --
 
 def _ref_validate_shape(shape):
-    shape = tuple(int(s) for s in shape)
+    sizes = []
+    for s in shape:
+        # int() truncates 3.5 and parses "3"; neither is a factor size
+        if int(s) != s:
+            raise DomainError(f"factor size must be an integer, got {s!r}")
+        sizes.append(int(s))
+    shape = tuple(sizes)
     if not shape:
         raise DomainError("factor shape must have at least one factor")
     for s in shape:
@@ -309,8 +316,15 @@ def _ref_family_of(p, q):
     return "kl"
 
 
+def reference_compose_gl4(a, b, tol=DEFAULT_PRUNE_TOL):
+    """Closed-form product for order-2 tensors; agrees with ``compose``."""
+    C = _gl4_product_array(_coeff_matrix(a), _coeff_matrix(b))
+    return CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
+                                         C.reshape(-1), tol)
+
+
 def reference_family_errors(rng, pairs):
-    """{family: largest |compose_gl4 - compose| entry} over random dense pairs,
+    """{family: largest |closed form - compose| entry} over random dense pairs,
     drawn from rng as ``verify_closed_forms`` draws them."""
     worst = {fam: 0.0 for fam in ("00", "k0", "0l", "kl")}
     for _ in range(pairs):
@@ -321,7 +335,7 @@ def reference_family_errors(rng, pairs):
         b = CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
                                           B.reshape(-1), 0.0)
         general = _coeff_matrix(compose(a, b, tol=0.0)).tolist()
-        closed = _coeff_matrix(compose_gl4(a, b, tol=0.0)).tolist()
+        closed = _coeff_matrix(reference_compose_gl4(a, b, tol=0.0)).tolist()
         for p in range(4):
             for q in range(4):
                 err = abs(closed[p][q] - general[p][q])

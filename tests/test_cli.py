@@ -462,7 +462,8 @@ def _random_coefficient_text(rng, m, terms):
 
 
 class TestBlasThreads:
-    def test_outputs_identical_with_one_and_two_threads(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
         # inputs shaped like the benchmark's: a dense 256x256 matrix, 256-term
         # m=6 and 128-term m=12 operands, and order-2 closed-form operands
         rng = np.random.default_rng(2024)
@@ -481,7 +482,10 @@ class TestBlasThreads:
             "q2.pcoef": format_coefficients(qvector_to_coeffs(QVector(
                 tuple(rng.standard_normal(3)), tuple(rng.standard_normal(3))))),
         }
-        path = {name: write(tmp_path / name, text) for name, text in files.items()}
+        tmp_path = tmp_path_factory.mktemp("blas")
+        return {name: write(tmp_path / name, text) for name, text in files.items()}
+
+    def test_outputs_identical_with_one_and_two_threads(self, path):
         commands = [
             ["decompose", path["a.cmat"]],
             ["reconstruct", path["a.pcoef"]],
@@ -506,3 +510,15 @@ class TestBlasThreads:
         assert [code for code, _ in one] == [0] * len(commands)
         assert one == two
 
+    @pytest.mark.parametrize("pair, methods", [
+        (("g1.pcoef", "g2.pcoef"), ["gl4"]),
+        (("q1.pcoef", "q2.pcoef"), ["gl4", "antisym-gl4"]),
+    ])
+    def test_order_two_methods_print_general_bytes(self, path, pair, methods,
+                                                   capsys):
+        operands = [path[name] for name in pair]
+        general = run_cli(capsys, "compose", *operands)
+        assert general[0] == 0
+        for method in methods:
+            assert run_cli(capsys, "compose", *operands,
+                           "--method", method) == general

@@ -19,6 +19,7 @@ from reference import (reference_compose, reference_compose_antisym_gl4,
                        reference_derived_antisym_table, reference_family_errors)
 
 ANTISYM_SORTED = sorted(ANTISYMMETRIC_GL4_SUPPORT)
+ORDER_TWO_SORTED = list(itertools.product(range(4), repeat=2))
 
 
 def indicator(idx):
@@ -279,6 +280,26 @@ class TestComposeGl4:
     def test_requires_order_two(self):
         with pytest.raises(DimensionError):
             compose_gl4(indicator((1,)), indicator((2,)))
+
+    @pytest.mark.parametrize("a, b, m", [((1,), (2, 2), 1), ((1, 1), (2, 2, 2), 3)])
+    def test_checks_both_orders_first(self, a, b, m):
+        # before compose's order-mismatch and tol checks
+        with pytest.raises(DimensionError,
+                           match=f"^closed form requires tensor order 2, got {m}$"):
+            compose_gl4(indicator(a), indicator(b), tol=float("nan"))
+
+    @given(st.lists(st.one_of(st.builds(complex, edge_floats, edge_floats),
+                              complex_coeffs), min_size=32, max_size=32),
+           st.lists(st.booleans(), min_size=32, max_size=32),
+           st.sampled_from([0.0, 1e-12, 0.5, 1e308]))
+    def test_bits_match_compose(self, values, stored, tol):
+        # random supports over all 16 indices; rounded sums, signed zeros,
+        # subnormals and values that overflow
+        a, b = (CoefficientTensor(2, {i: v for i, v, keep in zip(
+            ORDER_TWO_SORTED, values[k:k + 16], stored[k:k + 16]) if keep}, tol=0.0)
+            for k in (0, 16))
+        assert (tensor_outcome(compose_gl4, a, b, tol=tol)
+                == tensor_outcome(compose, a, b, tol=tol))
 
 
 class TestComposeAntisymGl4:

@@ -171,6 +171,17 @@ class TestLexMaps:
                            match="global index must be an integer, got "):
             lex_local_from_global(i, (2, 2))
 
+    @pytest.mark.parametrize("call", [
+        # each returned 5 or (1, 2) from the truncated shape (2, 3)
+        lambda: lex_global_from_local((1, 2), (2.0, 3.5)),
+        lambda: lex_global_from_local((1, 2), ("2", "3")),
+        lambda: lex_local_from_global(5, (2, 3.9)),
+    ])
+    def test_non_integral_factor_size(self, call):
+        with pytest.raises(DomainError,
+                           match="factor size must be an integer, got "):
+            call()
+
     def test_integral_scalars_accepted(self):
         assert lex_global_from_local((1.0, np.int64(1)), (2, 2)) == 3
         assert lex_local_from_global(2.0, (2, 2)) == (1, 0)
@@ -228,6 +239,9 @@ BAD_SHAPES = {
     "nested_list": lambda: [[2]],
     # equal to (2, 2), but int() rejects it
     "complex": lambda: (2, 2 + 0j),
+    # int() would truncate 3.5 to 3 and parse "2" as 2
+    "fraction": lambda: (2.0, 3.5),
+    "digit_text": lambda: ("2", 3),
     "list": lambda: [2, 1],
     "generator": lambda: (s for s in (2, 0)),
     "ndarray": lambda: np.array([2, 1]),
@@ -239,7 +253,7 @@ GOOD_SHAPES = {
     "list": lambda: [2, 3],
     "generator": lambda: (s for s in (2, 3)),
     "ndarray": lambda: np.array([2, 3]),
-    "floats": lambda: (2.0, 3.5),
+    "floats": lambda: (2.0, 3.0),
     "array_element": lambda: (np.array(2), 3),
 }
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pauligl import ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor, verify
+from pauligl import ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor, composition, verify
 from pauligl.cli import dispatch
 from pauligl.verify import _codes, _indicator, _random_tensor, run_verification
 
@@ -70,6 +70,17 @@ def test_ledger_line_when_closed_forms_raise(monkeypatch, capsys):
     assert "closed-form ledger: not built, its suite raised" in out.splitlines()
     assert "component families" not in out
     assert out.splitlines()[-1] == "overall: FAIL"
+
+
+def test_closed_form_pairs_catch_a_wrong_kernel_phase(monkeypatch):
+    # conjugate every phase compose applies: the antisymmetric pair checks
+    # must fail too, not only the family checks of the product law
+    monkeypatch.setattr(composition, "_PHASE_IM", -composition._PHASE_IM)
+    ledger = []
+    result = verify._suite_closed_form(np.random.default_rng(0), ledger)
+    family_failures = sum(not f.confirmed for f in ledger[0].families)
+    assert result.total == 90
+    assert result.total - result.passed > family_failures
 
 
 SUPPORTS = {
