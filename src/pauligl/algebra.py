@@ -22,7 +22,6 @@ packed codes.
 from __future__ import annotations
 
 import enum
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -147,24 +146,14 @@ def multi_product(a, b) -> ScaledMultiIndex:
     return ScaledMultiIndex(Phase(int(exponent.sum()) % 4), tuple(prod.tolist()))
 
 
-#: Dense basis elements kept by ``basis_element``; a fixed count, so memory
-#: stays bounded when a caller walks all 4^m indices (a 2^m-side element takes
-#: 16 * 4^m bytes).
-BASIS_CACHE_SIZE = 128
-
-
-@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _basis_element_cached(idx: tuple[int, ...]) -> np.ndarray:
+def basis_element(idx) -> np.ndarray:
+    """Dense 2^m x 2^m basis element for a multi-index (read-only)."""
+    idx = validate_multi_index(idx)
     mat = _GENERATORS[idx[0]]
     for mu in idx[1:]:
         mat = np.kron(mat, _GENERATORS[mu])
     mat.flags.writeable = False
     return mat
-
-
-def basis_element(idx) -> np.ndarray:
-    """Dense 2^m x 2^m basis element for a multi-index (read-only, cached)."""
-    return _basis_element_cached(validate_multi_index(idx))
 
 
 # -- packed codes -------------------------------------------------------------

@@ -40,8 +40,10 @@ __all__ = [
 ]
 
 
-#: Term pairs per block of the compose kernel; its scratch arrays hold
-#: about this many entries each, whatever the sizes of the operands.
+#: Term pairs per block of the compose kernel's second pass; its scratch
+#: arrays hold about this many entries each, whatever the sizes of the
+#: operands.  First-pass blocks start at this size and grow with the
+#: output codes found so far.
 _BLOCK_PAIRS = 8192
 
 #: Phase.to_complex() of each exponent, split into real and imaginary parts.
@@ -54,25 +56,20 @@ def _row_blocks(a: CoefficientTensor, b: CoefficientTensor) -> list:
     return [slice(s, s + rows) for s in range(0, len(a), rows)]
 
 
-def _output_codes(ca: np.ndarray, cb: np.ndarray, blocks: list) -> np.ndarray:
-    """Sorted distinct codes of all products, gathered one row block at a time.
+def _output_codes(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """Sorted distinct codes of all products, merged one row block at a time.
 
-    Block results wait in ``pending`` until they outnumber the codes found so
-    far, so memory stays O(block + output) and merging costs amortized
-    O(block) per block.
+    A block holds about max(_BLOCK_PAIRS, codes found so far) pairs, so
+    memory stays O(block + output) and merging costs amortized O(block)
+    per block.
     """
-    found, pending, held = np.empty(0, dtype=np.uint64), [], 0
-    for blk in blocks:
-        pending.append(distinct_codes(ca[blk, None] ^ cb))
-        held += len(pending[-1])
-        if held > len(found):
-            # each part is sorted and distinct, so a lone part needs no merge
-            if len(found) or len(pending) > 1:
-                found = distinct_codes(np.concatenate([found, *pending]))
-            else:
-                found = pending[0]
-            pending, held = [], 0
-    return distinct_codes(np.concatenate([found, *pending])) if pending else found
+    found, start = np.empty(0, dtype=np.uint64), 0
+    while start < len(ca):
+        rows = max(1, max(_BLOCK_PAIRS, len(found)) // max(len(cb), 1))
+        block = ca[start:start + rows, None] ^ cb
+        found = distinct_codes(np.concatenate([found, block.ravel()]))
+        start += rows
+    return found
 
 
 def compose(a: CoefficientTensor, b: CoefficientTensor,
@@ -91,14 +88,13 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
         raise DimensionError(f"tensor orders differ: {a.m} vs {b.m}")
     _checked_tol(tol)
     ca, cb = a.codes, b.codes
-    blocks = _row_blocks(a, b)
-    out = _output_codes(ca, cb, blocks)
+    out = _output_codes(ca, cb)
     acc = np.zeros(len(out), dtype=complex)
     ar, ai = a.values.real[:, None], a.values.imag[:, None]
     br, bi = b.values.real, b.values.imag
     # an overflow shows up as a non-finite sum, which _from_codes rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for blk in blocks:
+        for blk in _row_blocks(a, b):
             prod, exponent = code_product(ca[blk, None], cb)
             pr = ar[blk] * br - ai[blk] * bi
             pi = ar[blk] * bi + ai[blk] * br

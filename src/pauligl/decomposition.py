@@ -11,7 +11,6 @@ per tensor factor, O(m * 4^m) total).
 
 from __future__ import annotations
 
-import cmath
 from types import MappingProxyType
 
 import numpy as np
@@ -47,6 +46,14 @@ def _checked_tol(tol: float) -> float:
     return tol
 
 
+def _kept(values: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the coefficients that survive pruning: modulus > tol."""
+    # np.hypot is the modulus Python's abs(complex) computes; a modulus
+    # that overflows is inf, which is kept, so its warning says nothing
+    with np.errstate(over="ignore"):
+        return np.hypot(values.real, values.imag) > tol
+
+
 def _checked_order(m) -> int:
     m = _checked_integer(m, "tensor order")
     if m < 1:
@@ -78,25 +85,22 @@ class CoefficientTensor:
     Stored as two parallel read-only arrays: ``codes`` (uint64, strictly
     increasing) holds the packed multi-index of each stored term (see
     ``pauligl.algebra``) and ``values`` (complex128) its coefficient.
-    Construction canonicalizes: indices are validated, entries with modulus
-    <= tol are dropped, and survivors are sorted, which is lexicographic
-    index order.  ``coeffs`` is a read-only mapping from multi-index tuples
-    to coefficients, built on first use.  Instances are immutable.
+    Construction canonicalizes: indices are validated, non-finite values
+    are refused, entries with modulus <= tol are dropped, and survivors are
+    sorted, which is lexicographic index order.  Nothing else is stored:
+    ``coeffs`` builds a read-only mapping from multi-index tuples to
+    coefficients on each access, and ``coeff`` binary-searches ``codes``.
+    Instances are immutable.
     """
 
-    __slots__ = ("m", "codes", "values", "_coeffs")
+    __slots__ = ("m", "codes", "values")
 
     def __init__(self, m: int, coeffs=None, *, tol: float = DEFAULT_PRUNE_TOL):
         m = _checked_order(m)
         _checked_tol(tol)
         items = coeffs.items() if hasattr(coeffs, "items") else (coeffs or ())
-        entries = {}
-        for idx, value in items:
-            idx = _checked_index(idx, m)
-            value = complex(value)
-            if not cmath.isfinite(value):
-                raise DomainError(f"non-finite coefficient at {idx}")
-            entries[pack_index(idx)] = value
+        entries = {pack_index(_checked_index(idx, m)): complex(value)
+                   for idx, value in items}
         self._assign(m, np.fromiter(entries, np.uint64, len(entries)),
                      np.fromiter(entries.values(), complex, len(entries)), tol)
 
@@ -116,23 +120,18 @@ class CoefficientTensor:
         if np.any(codes[1:] <= codes[:-1]):
             order = np.argsort(codes)
             codes, values = codes[order], values[order]
-        # np.hypot is the modulus Python's abs(complex) computes; a modulus
-        # that overflows is inf, which is kept, so its warning says nothing
-        with np.errstate(over="ignore"):
-            keep = np.hypot(values.real, values.imag) > tol
+        keep = _kept(values, tol)
         if not keep.all():
             codes, values = codes[keep], values[keep]
         codes.flags.writeable = False
         values.flags.writeable = False
-        self.m, self.codes, self.values, self._coeffs = m, codes, values, None
+        self.m, self.codes, self.values = m, codes, values
 
     @property
     def coeffs(self) -> MappingProxyType:
         """Read-only mapping: multi-index tuple -> coefficient, in index order."""
-        if self._coeffs is None:
-            keys = map(tuple, code_digits(self.codes, self.m).tolist())
-            self._coeffs = MappingProxyType(dict(zip(keys, self.values.tolist())))
-        return self._coeffs
+        keys = map(tuple, code_digits(self.codes, self.m).tolist())
+        return MappingProxyType(dict(zip(keys, self.values.tolist())))
 
     @property
     def side(self) -> int:
@@ -141,7 +140,12 @@ class CoefficientTensor:
 
     def coeff(self, idx) -> complex:
         """Coefficient at a multi-index; 0 where nothing is stored."""
-        return self.coeffs.get(_checked_index(idx, self.m), 0j)
+        # a Python-int key would make numpy convert the whole code array
+        code = np.uint64(pack_index(_checked_index(idx, self.m)))
+        pos = int(np.searchsorted(self.codes, code))
+        if pos < len(self.codes) and self.codes[pos] == code:
+            return complex(self.values[pos])
+        return 0j
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -257,7 +261,7 @@ def decompose(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
         raise DomainError("non-finite coefficient: the matrix has a "
                           "non-finite or overflowing entry")
     # flat positions of the (4,)*m array are the codes
-    keep = np.flatnonzero(np.abs(flat) > tol)
+    keep = np.flatnonzero(_kept(flat, tol))
     return CoefficientTensor._from_codes(c.ndim, keep.astype(np.uint64),
                                          flat[keep], 0.0)
 

@@ -212,6 +212,24 @@ class TestKernelMatchesReference:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
+    def test_memory_is_bounded_by_a_large_output(self, rng):
+        def operand():
+            codes = rng.choice(4 ** 10, size=512, replace=False).astype(np.uint64)
+            values = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+            return CoefficientTensor._from_codes(10, codes, values, 0.0)
+
+        a, b = operand(), operand()
+        compose(a, CoefficientTensor(10, {(0,) * 10: 1.0}))  # first-call setup
+        tracemalloc.start()
+        try:
+            out = compose(a, b, tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 200_000
+        # the output's codes and values take 24 bytes a term
+        assert peak < 2 * 24 * len(out) + 2 ** 20
+
     def test_rejects_nan_tol(self):
         a = indicator((1,))
         with pytest.raises(DomainError):

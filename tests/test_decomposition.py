@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pauligl import (CoefficientTensor, DimensionError, DomainError,
-                     basis_element, coeff_distance, decompose,
+                     basis_element, coeff_distance, compose, decompose,
                      lex_local_from_global, pauli_matrix, reconstruct)
 from pauligl.decomposition import MAX_DENSE_BYTES, MAX_ORDER, coefficient_array
 
@@ -107,12 +108,71 @@ class TestCoefficientTensor:
     def test_last_duplicate_wins(self):
         c = CoefficientTensor(1, [((1,), 1.0), ((1,), 2.0), ((2,), 3.0), ((2,), 0.0)])
         assert c.coeffs == {(1,): 2.0}
+        # values are checked after duplicates resolve
+        c = CoefficientTensor(1, [((1,), float("inf")), ((1,), 2.0)])
+        assert c.coeffs == {(1,): 2.0}
+
+    def test_coeff_matches_mapping(self):
+        c = CoefficientTensor(3, {(0, 0, 0): 1.5, (0, 2, 1): complex(-0.0, 2.0),
+                                  (1, 3, 3): complex(3.0, -0.0), (2, 2, 2): -1j,
+                                  (3, 0, 1): complex(-0.0, -4.0),
+                                  (3, 3, 3): 0.0}, tol=0.0)
+        mapping = c.coeffs
+        assert len(mapping) == 5
+        for idx in itertools.product(range(4), repeat=3):
+            got, want = c.coeff(idx), mapping.get(idx, 0j)
+            assert type(got) is complex
+            assert (np.array([got]).view(np.uint64).tolist()
+                    == np.array([want]).view(np.uint64).tolist()), idx
+
+    def test_coeff_memory(self, rng):
+        c = decompose(random_complex_matrix(rng, 256), 0.0)
+        assert len(c) == 4 ** 8
+        # first-call setup on another tensor, so no per-tensor cache can
+        # hide the cost of the call measured
+        CoefficientTensor(8, {(0,) * 8: 1.0}).coeff((0,) * 8)
+        tracemalloc.start()
+        try:
+            c.coeff((1, 2, 3, 0, 1, 2, 3, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the code array alone is 512 KiB
+        assert peak < 2 ** 16
 
     def test_equality_and_repr(self):
         a = CoefficientTensor(1, {(2,): 1j})
         b = CoefficientTensor(1, {(2,): 1j})
         assert a == b
         assert repr(a) == "CoefficientTensor(m=1, nnz=1)"
+
+
+class TestPruneRule:
+    """Every constructor drops a coefficient exactly when abs(value) <= tol."""
+
+    # np.abs(Z) is one ulp above abs(Z) on numpy 2.4, so a prune written with
+    # np.abs keeps Z at tol = abs(Z)
+    Z = -0.1321048632913019 + 1.3168225133390905j
+
+    def routes(self, tol):
+        one = CoefficientTensor(1, {(0,): 1.0})
+        return {
+            "decompose": decompose(self.Z * np.eye(2), tol),
+            "mapping": CoefficientTensor(1, {(0,): self.Z}, tol=tol),
+            "compose": compose(one, CoefficientTensor(1, {(0,): self.Z}, tol=0.0),
+                               tol),
+            "_from_codes": CoefficientTensor._from_codes(
+                1, np.zeros(1, dtype=np.uint64), np.array([self.Z]), tol),
+        }
+
+    def test_dropped_at_its_modulus(self):
+        for route, c in self.routes(abs(self.Z)).items():
+            assert c.coeffs == {}, route
+
+    def test_kept_just_below_its_modulus(self):
+        tol = float(np.nextafter(abs(self.Z), 0.0))
+        for route, c in self.routes(tol).items():
+            assert c.coeffs == {(0,): self.Z}, route
 
 
 class TestDecompose:
