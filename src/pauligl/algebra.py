@@ -151,7 +151,9 @@ def basis_element(idx) -> np.ndarray:
     idx = validate_multi_index(idx)
     mat = _GENERATORS[idx[0]]
     for mu in idx[1:]:
-        mat = np.kron(mat, _GENERATORS[mu])
+        # np.kron's products, without its per-call overhead
+        n = 2 * len(mat)
+        mat = (mat[:, None, :, None] * _GENERATORS[mu][None, :, None, :]).reshape(n, n)
     mat.flags.writeable = False
     return mat
 

@@ -46,6 +46,13 @@ __all__ = [
 #: output codes found so far.
 _BLOCK_PAIRS = 8192
 
+#: The dense accumulator (one complex slot per output code) is used when it
+#: takes at most this many bytes, so m <= 8 ...
+_DENSE_MAX_BYTES = 1 << 20
+#: ... and there is at least one term pair per this many slots; below that,
+#: zeroing and scanning the slots costs more than sorting the product codes.
+_DENSE_SLOTS_PER_PAIR = 16
+
 #: Phase.to_complex() of each exponent, split into real and imaginary parts.
 _PHASE_RE = np.array([p.to_complex().real for p in Phase])
 _PHASE_IM = np.array([p.to_complex().imag for p in Phase])
@@ -72,24 +79,39 @@ def _output_codes(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
     return found
 
 
+def _dense_route(m: int, pairs: int) -> bool:
+    slots = 4 ** m
+    return (16 * slots <= _DENSE_MAX_BYTES
+            and pairs * _DENSE_SLOTS_PER_PAIR >= slots)
+
+
 def compose(a: CoefficientTensor, b: CoefficientTensor,
             tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
     """Coefficient-space product: reconstruct(compose(a, b)) = reconstruct(a) @ reconstruct(b).
 
     Cost is O(nnz(a) * nnz(b)), evaluated in row blocks of about
-    ``_BLOCK_PAIRS`` term pairs, so scratch memory is O(block + output).
-    Each term is a * b * phase, with both complex products written out as
-    re = x.re*y.re - x.im*y.im, im = x.re*y.im + x.im*y.re, and terms landing
-    on the same output index are summed in lexicographic order over input
-    index pairs.  Results are therefore bit-deterministic, and equal bit for
+    ``_BLOCK_PAIRS`` term pairs.  Each term is a * b * phase, with both
+    complex products written out as re = x.re*y.re - x.im*y.im,
+    im = x.re*y.im + x.im*y.re, and terms landing on the same output index
+    are summed in lexicographic order over input index pairs, starting
+    from +0.0.  Results are therefore bit-deterministic, and equal bit for
     bit to the same sum done with Python complex numbers.
+
+    The terms go to one of two accumulators, with the same bits from either.
+    When all 4^m output slots fit in ``_DENSE_MAX_BYTES`` (m <= 8) and there
+    is at least one term pair per ``_DENSE_SLOTS_PER_PAIR`` slots, each term
+    is added into a zeroed slot per output code, indexed by the product
+    code itself, and the nonzero slots are kept.  Otherwise a first pass
+    collects the sorted distinct output codes and each term's slot is
+    found by binary search, so scratch memory is O(block + output).
     """
     if a.m != b.m:
         raise DimensionError(f"tensor orders differ: {a.m} vs {b.m}")
     _checked_tol(tol)
     ca, cb = a.codes, b.codes
-    out = _output_codes(ca, cb)
-    acc = np.zeros(len(out), dtype=complex)
+    dense = _dense_route(a.m, len(ca) * len(cb))
+    out = None if dense else _output_codes(ca, cb)
+    acc = np.zeros(4 ** a.m if dense else len(out), dtype=complex)
     ar, ai = a.values.real[:, None], a.values.imag[:, None]
     br, bi = b.values.real, b.values.imag
     # an overflow shows up as a non-finite sum, which _from_codes rejects
@@ -100,9 +122,15 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
             pi = ar[blk] * bi + ai[blk] * br
             fr, fi = _PHASE_RE[exponent], _PHASE_IM[exponent]
             # np.add.at applies repeated indices one after another, in pair order
-            pos = np.searchsorted(out, prod.ravel())
+            pos = prod.ravel() if dense else np.searchsorted(out, prod.ravel())
             np.add.at(acc.real, pos, (pr * fr - pi * fi).ravel())
             np.add.at(acc.imag, pos, (pr * fi + pi * fr).ravel())
+    if dense:
+        # a slot that no term reached, or whose terms cancel, is 0 and would
+        # be pruned anyway; nan and inf are nonzero and stay to be rejected
+        # (acc != 0 is np.nonzero's own test, and twice as fast on complex)
+        out = np.flatnonzero(acc != 0).astype(np.uint64)
+        acc = acc[out]
     return CoefficientTensor._from_codes(a.m, out, acc, tol)
 
 

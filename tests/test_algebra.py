@@ -148,6 +148,15 @@ class TestBasisElement:
         got = basis_element((3, 2))
         assert np.array_equal(got, np.kron(pauli_matrix(3), pauli_matrix(2)))
         assert not got.flags.writeable
+        # np.kron's bits, signed zeros included, for every index up to m = 4
+        for m in (1, 2, 3, 4):
+            for idx in itertools.product(range(4), repeat=m):
+                want = pauli_matrix(idx[0])
+                for mu in idx[1:]:
+                    want = np.kron(want, pauli_matrix(mu))
+                got = basis_element(idx)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_trace_picks_out_identity(self):
         for m in (1, 2, 3):

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
@@ -239,24 +241,27 @@ class TestKernelMatchesReference:
 BLOCK_PAIRS = [1, 4, 8192]
 
 
+def fixed_operand_pairs(rng):
+    full = decompose(random_complex_matrix(rng, 8), 0.0)
+    sparse = CoefficientTensor._from_codes(3, full.codes[::7],
+                                           full.values[::7], 0.0)
+    single = CoefficientTensor(3, {(2, 0, 3): 1.5 - 0.5j})
+    empty = CoefficientTensor(3, {})
+    # the first two rows of a give two distinct products, the next two
+    # four: a later block can hold more codes than all earlier ones
+    a = CoefficientTensor(3, {(0, 0, 0): 1, (0, 0, 1): 2, (0, 1, 0): 3j,
+                              (0, 2, 0): -4})
+    b = CoefficientTensor(3, {(0, 0, 0): 1j, (0, 0, 1): -1})
+    return [(a, b), *itertools.product([full, sparse, single, empty], repeat=2)]
+
+
 class TestBlockSizes:
     """Any block size gives the reference bits: blocks only split the work."""
 
     @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
     def test_fixed_operands(self, rng, block_pairs):
-        full = decompose(random_complex_matrix(rng, 8), 0.0)
-        sparse = CoefficientTensor._from_codes(3, full.codes[::7],
-                                               full.values[::7], 0.0)
-        single = CoefficientTensor(3, {(2, 0, 3): 1.5 - 0.5j})
-        empty = CoefficientTensor(3, {})
-        # the first two rows of a give two distinct products, the next two
-        # four: a later block can hold more codes than all earlier ones
-        a = CoefficientTensor(3, {(0, 0, 0): 1, (0, 0, 1): 2, (0, 1, 0): 3j,
-                                  (0, 2, 0): -4})
-        b = CoefficientTensor(3, {(0, 0, 0): 1j, (0, 0, 1): -1})
-        pairs = [(a, b), *itertools.product([full, sparse, single, empty], repeat=2)]
         with mock.patch.object(composition, "_BLOCK_PAIRS", block_pairs):
-            for a, b in pairs:
+            for a, b in fixed_operand_pairs(rng):
                 assert_matches_reference(a, b, 0.0)
 
     @given(composable_pairs(max_terms=20), st.sampled_from(BLOCK_PAIRS))
@@ -265,6 +270,118 @@ class TestBlockSizes:
         a, b = pair
         with mock.patch.object(composition, "_BLOCK_PAIRS", block_pairs):
             assert_matches_reference(a, b, 0.0)
+
+
+#: Patches that make compose take one accumulator for any nonempty operands
+#: at m <= 8 (the dense one needs 16 * 4**m <= _DENSE_MAX_BYTES).
+ROUTES = {"dense": ("_DENSE_SLOTS_PER_PAIR", 4 ** 32),
+          "sparse": ("_DENSE_MAX_BYTES", 0)}
+
+
+@contextlib.contextmanager
+def forced(route, block_pairs):
+    with mock.patch.object(composition, *ROUTES[route]), \
+            mock.patch.object(composition, "_BLOCK_PAIRS", block_pairs):
+        yield
+
+
+def random_operand(rng, m, n):
+    codes = rng.choice(4 ** m, size=n, replace=False).astype(np.uint64)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return CoefficientTensor._from_codes(m, codes, values, 0.0)
+
+
+class TestRoutes:
+    """The dense-slot and the sorted-code accumulator give the same bits."""
+
+    @pytest.mark.parametrize("m, pairs, dense", [
+        (6, 256 * 256, True),   # the compose-dense-m6 benchmark
+        (12, 128 * 128, False),  # compose-sparse-m12: above the cap
+        (10, 512 * 512, False),  # test_memory_is_bounded_by_a_large_output
+        (9, 4 ** 9, False),
+        (8, 4 ** 8 // 16, True),
+        (8, 4 ** 8 // 16 - 1, False),
+        (1, 1, True),
+        (1, 0, False)])
+    def test_rule(self, m, pairs, dense):
+        assert composition._dense_route(m, pairs) is dense
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_forced_route_is_taken(self, route):
+        # only the sorted-code accumulator collects the output codes first
+        a = CoefficientTensor(2, {(1, 0): 1.0, (2, 3): 2j})
+        with forced(route, 8192), mock.patch.object(
+                composition, "_output_codes",
+                wraps=composition._output_codes) as collect:
+            compose(a, a)
+        assert collect.called is (route == "sparse")
+
+    @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_fixed_corpora(self, rng, route, block_pairs):
+        signed = (CoefficientTensor(2, {(1, 0): complex(-0.0, 1.0),
+                                        (2, 3): complex(1.0, -0.0)}),
+                  CoefficientTensor(2, {(2, 0): complex(-1.0, -0.0),
+                                        (0, 3): complex(-0.0, -1.0)}))
+        # (s1 + s2)(s1 - s2) = -2i s3: the two identity terms cancel exactly
+        cancel = (CoefficientTensor(1, {(1,): 1, (2,): 1}),
+                  CoefficientTensor(1, {(1,): 1, (2,): -1}))
+        pairs = [signed, signed[::-1], cancel, *fixed_operand_pairs(rng)]
+        with forced(route, block_pairs):
+            for a, b in pairs:
+                assert_matches_reference(a, b, 0.0)
+            assert compose(*cancel, tol=0.0).coeffs == {(3,): -2j}
+
+    @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_overflow_names_the_first_code(self, route, block_pairs):
+        cases = [
+            # the first pair to overflow lands on (0, 2), but (0, 1) comes
+            # first in index order, and the error names it
+            (CoefficientTensor(2, {(0, 0): 1.0, (0, 1): 1e200, (0, 2): 1e200}),
+             CoefficientTensor(2, {(0, 0): 1.0, (0, 3): 1e200}), "(0, 1)"),
+            # inf - inf: both slots hold nan + 0j, which is not zero
+            (CoefficientTensor(1, {(0,): 1e200, (1,): 1e200}),
+             CoefficientTensor(1, {(0,): 1e200, (1,): -1e200}), "(0,)")]
+        for a, b, first in cases:
+            message = f"^non-finite coefficient at {re.escape(first)}$"
+            with pytest.raises(DomainError, match=message):
+                reference_compose(a, b, 0.0)
+            with forced(route, block_pairs), pytest.raises(DomainError,
+                                                           match=message):
+                compose(a, b, 0.0)
+
+    @given(composable_pairs(max_terms=20), st.sampled_from(list(ROUTES)),
+           st.sampled_from(BLOCK_PAIRS),
+           st.sampled_from([0.0, DEFAULT_PRUNE_TOL, 0.5, 4.0]))
+    @settings(max_examples=100)
+    def test_any_operands(self, pair, route, block_pairs, tol):
+        a, b = pair
+        with forced(route, block_pairs):
+            assert_matches_reference(a, b, tol)
+
+    def test_blocks_add_onto_running_sums(self):
+        # two row blocks (81 and 19 rows) of random terms, ~10 per slot: a
+        # block summed on its own (say by np.bincount) and then added to the
+        # slot rounds differently from adding its terms one by one
+        rng = np.random.default_rng(5)
+        a, b = random_operand(rng, 5, 100), random_operand(rng, 5, 100)
+        assert len(composition._row_blocks(a, b)) == 2
+        assert composition._dense_route(5, len(a) * len(b))
+        assert_matches_reference(a, b, 0.0)
+
+    def test_dense_memory_at_the_cap(self, rng):
+        # the 1 MiB slot array at m = 8, plus the block and the output
+        a, b = random_operand(rng, 8, 256), random_operand(rng, 8, 256)
+        assert composition._dense_route(8, len(a) * len(b))
+        compose(a, b)  # first-call setup
+        tracemalloc.start()
+        try:
+            out = compose(a, b, tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4 ** 8 + 2 * 24 * len(out) + 2 ** 20
 
 
 class TestComposeGl4:
