@@ -42,12 +42,11 @@ def _real_flag(text: str) -> float:
 
 def _ascii_int(text: str) -> int:
     """An integer argument, read by the file formats' rule: ASCII digits only."""
-    if fileio._INT_RE.match(text):
-        try:
-            return int(text)
-        except ValueError:  # above sys.get_int_max_str_digits() digits
-            pass
-    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    try:
+        return fileio._parse_int(text, None, "argument")
+    except FileFormatError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
 
 
 def _shape_flag(text: str) -> tuple:

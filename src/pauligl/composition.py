@@ -122,7 +122,8 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
             pi = ar[blk] * bi + ai[blk] * br
             fr, fi = _PHASE_RE[exponent], _PHASE_IM[exponent]
             # np.add.at applies repeated indices one after another, in pair order
-            pos = prod.ravel() if dense else np.searchsorted(out, prod.ravel())
+            pos = (prod.ravel().astype(np.intp) if dense
+                   else np.searchsorted(out, prod.ravel()))
             np.add.at(acc.real, pos, (pr * fr - pi * fi).ravel())
             np.add.at(acc.imag, pos, (pr * fi + pi * fr).ravel())
     if dense:
@@ -235,8 +236,6 @@ _SCALAR_TEXT = {1 + 0j: ("+", ""), -1 + 0j: ("-", ""),
 
 
 def _render_terms(terms) -> str:
-    if not terms:
-        return "0"
     parts = []
     for s, t, scalar in terms:
         sign, mag = _SCALAR_TEXT.get(complex(scalar), ("+", f"({scalar})*"))

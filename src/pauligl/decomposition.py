@@ -133,11 +133,6 @@ class CoefficientTensor:
         keys = map(tuple, code_digits(self.codes, self.m).tolist())
         return MappingProxyType(dict(zip(keys, self.values.tolist())))
 
-    @property
-    def side(self) -> int:
-        """Side length of the dense matrix this tensor represents."""
-        return 2 ** self.m
-
     def coeff(self, idx) -> complex:
         """Coefficient at a multi-index; 0 where nothing is stored."""
         # a Python-int key would make numpy convert the whole code array

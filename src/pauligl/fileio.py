@@ -17,7 +17,9 @@ CoefficientTensor never holds them).
 Files are read a matrix row or a block of lines at a time, each checked
 with one regular expression, and written a row or a block at a time.
 Parse errors raise FileFormatError carrying the 1-based line number of the
-first error in line order.
+first error in line order, with one exception: a matrix file with the wrong
+number of rows reports the count first, at the line of the first extra or
+missing row, before any row is read.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import re
 import numpy as np
 
 from .algebra import code_digits
-from .decomposition import MAX_ORDER, CoefficientTensor
-from .errors import DimensionError, DomainError, FileFormatError
+from .decomposition import CoefficientTensor, _checked_order
+from .errors import DomainError, FileFormatError
 from .symmetry import QVector
 
 __all__ = [
@@ -105,7 +107,7 @@ def _parse_real(token: str, line: int) -> float:
         raise FileFormatError(str(exc), line=line) from None
 
 
-def _parse_int(token: str, line: int, what: str) -> int:
+def _parse_int(token: str, line: int | None, what: str) -> int:
     if not _INT_RE.match(token):
         raise FileFormatError(f"{what} must be an integer, got {token!r}", line=line)
     try:
@@ -265,8 +267,7 @@ def parse_coefficients(text: str) -> CoefficientTensor:
     m = _parse_int(header[0].strip(), 1, "tensor order")
     if m < 1:
         raise FileFormatError(f"tensor order must be >= 1, got {m}", line=1)
-    if m > MAX_ORDER:
-        raise DimensionError(f"tensor order must be <= {MAX_ORDER}, got {m}")
+    _checked_order(m)
     block_re = re.compile(rf"(?:{_SPACE}*[0-3]{{{m}}}{_SPACE}+{_REAL}"
                           rf"{_SPACE}+{_REAL}{_SPACE}*\n)*\Z")
     weights = np.uint64(4) ** np.arange(m - 1, -1, -1, dtype=np.uint64)

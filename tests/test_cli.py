@@ -291,6 +291,13 @@ class TestIndex:
         code, out, err = run_cli(capsys, "index", *argv)
         assert (code, out) == (1, "") and err.startswith("error: argument")
 
+    def test_integer_above_the_digit_limit_is_usage_error(self, capsys):
+        # 5000 digits is above sys.get_int_max_str_digits()'s default 4300
+        big = "1" * 5000
+        code, out, err = run_cli(capsys, "index", "to-local", "--shape", "2,2", big)
+        assert (code, out) == (1, "")
+        assert err == f"error: argument index: expected an integer, got {big!r}\n"
+
     def test_factor_size_floor(self, capsys):
         code, _, _ = run_cli(capsys, "index", "to-global",
                              "--shape", "2,1", "0", "0")

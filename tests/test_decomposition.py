@@ -34,7 +34,6 @@ class TestCoefficientTensor:
     def test_identity(self):
         e = CoefficientTensor(3, {(0, 0, 0): 1.0})
         assert e.coeffs == {(0, 0, 0): 1.0}
-        assert e.side == 8
 
     def test_coeff_default(self):
         assert CoefficientTensor(2, {}).coeff((1, 1)) == 0j
@@ -145,6 +144,11 @@ class TestCoefficientTensor:
         b = CoefficientTensor(1, {(2,): 1j})
         assert a == b
         assert repr(a) == "CoefficientTensor(m=1, nnz=1)"
+
+    def test_not_equal_to_a_non_tensor(self):
+        a = CoefficientTensor(1, {(2,): 1j})
+        assert a.__eq__(a.coeffs) is NotImplemented
+        assert a != a.coeffs and a != 1j
 
 
 class TestPruneRule:

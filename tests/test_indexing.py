@@ -73,6 +73,12 @@ class TestBlockMaps:
             block_global_from_local(
                 BlockLocal(Half.LOW, Half.LOW, 2, 0), self.CUTS)
 
+    def test_local_col_exceeds_block(self):
+        with pytest.raises(DomainError,
+                           match="local col 3 out of range for block width 1"):
+            block_global_from_local(
+                BlockLocal(Half.LOW, Half.HIGH, 0, 3), BlockCuts(4, 2, 3))
+
     def test_invalid_cuts(self):
         with pytest.raises(DomainError):
             BlockCuts(4, 0, 2)
