@@ -329,12 +329,11 @@ def verify_closed_forms(rng: np.random.Generator | None = None,
 
     worst = np.zeros((4, 4))
     for _ in range(pairs):
-        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
-                                          A.reshape(-1), 0.0)
-        b = CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
-                                          B.reshape(-1), 0.0)
+        # one draw: A's real and imaginary parts, then B's
+        (a_re, a_im), (b_re, b_im) = rng.standard_normal((2, 2, 4, 4))
+        A, B = a_re + 1j * a_im, b_re + 1j * b_im
+        a = CoefficientTensor._from_dense(2, A.reshape(-1), 0.0)
+        b = CoefficientTensor._from_dense(2, B.reshape(-1), 0.0)
         d = _gl4_product_array(A, B) - _coeff_matrix(compose(a, b, 0.0))
         # np.hypot is abs() of a Python complex, bit for bit
         np.maximum(worst, np.hypot(d.real, d.imag), out=worst)

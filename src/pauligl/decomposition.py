@@ -112,12 +112,25 @@ class CoefficientTensor:
         out._assign(_checked_order(m), codes, values, _checked_tol(tol))
         return out
 
+    @classmethod
+    def _from_dense(cls, m: int, flat: np.ndarray, tol: float) -> "CoefficientTensor":
+        """Build from all 4**m finite coefficients, the flat position of each
+        its code, with m and tol already checked; prunes once."""
+        # positions are sorted, distinct and in range by construction
+        keep = np.flatnonzero(_kept(flat, tol))
+        codes, values = keep.astype(np.uint64), flat[keep]
+        codes.flags.writeable = False
+        values.flags.writeable = False
+        out = cls.__new__(cls)
+        out.m, out.codes, out.values = m, codes, values
+        return out
+
     def _assign(self, m, codes, values, tol) -> None:
         finite = np.isfinite(values)
         if not finite.all():
             bad = tuple(code_digits(codes[~finite][:1], m)[0].tolist())
             raise DomainError(f"non-finite coefficient at {bad}")
-        if np.any(codes[1:] <= codes[:-1]):
+        if (codes[1:] <= codes[:-1]).any():
             order = np.argsort(codes)
             codes, values = codes[order], values[order]
         keep = _kept(values, tol)
@@ -255,10 +268,7 @@ def decompose(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
     if not np.isfinite(flat).all():
         raise DomainError("non-finite coefficient: the matrix has a "
                           "non-finite or overflowing entry")
-    # flat positions of the (4,)*m array are the codes
-    keep = np.flatnonzero(_kept(flat, tol))
-    return CoefficientTensor._from_codes(c.ndim, keep.astype(np.uint64),
-                                         flat[keep], 0.0)
+    return CoefficientTensor._from_dense(c.ndim, flat, tol)
 
 
 def reconstruct(c: CoefficientTensor) -> np.ndarray:

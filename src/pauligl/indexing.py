@@ -8,8 +8,10 @@ Two families, both 0-based:
 * mixed-radix (lexicographic) maps — when the matrix is a Kronecker product
   of factors, a global row or column index maps to one digit per factor.
   The first listed factor of a shape is the slowest-varying (the leftmost
-  Kronecker factor); the last listed factor varies fastest.  Both maps take
-  Python integers, or integer numpy arrays to map many indices in one call.
+  Kronecker factor); the last listed factor varies fastest.
+
+Every map takes Python integers, or integer numpy arrays to map many indices
+in one call.
 """
 
 from __future__ import annotations
@@ -74,8 +76,36 @@ class BlockLocal:
     local_col: int
 
 
-def block_local_from_global(i: int, j: int, cuts: BlockCuts) -> BlockLocal:
-    """Locate global entry (i, j) as (block, local offset)."""
+def _integer_array(a, what: str) -> np.ndarray:
+    """``a`` as an array, which must have an integer dtype (not bool)."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        raise TypeError(f"{what} must have an integer dtype, got {a.dtype}")
+    return a
+
+
+def block_local_from_global(i, j, cuts: BlockCuts) -> BlockLocal:
+    """Locate global entry (i, j) as (block, local offset).
+
+    If either index is an np.ndarray, both must be integer arrays (or Python
+    integers), broadcast together: the BlockLocal then holds object arrays
+    of Half members and int64 offsets.  An index out of range raises
+    DomainError, for arrays the scalar call's for the first bad entry in
+    ravel order; an array of a non-integer dtype raises TypeError.
+    """
+    if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
+        i, j = np.broadcast_arrays(_integer_array(i, "row index"),
+                                   _integer_array(j, "col index"))
+        bad = (i < 0) | (i >= cuts.n) | (j < 0) | (j >= cuts.n)
+        if bad.any():
+            k = np.argmax(bad)
+            block_local_from_global(i.flat[k], j.flat[k], cuts)  # raises
+        i, j = i.astype(np.int64), j.astype(np.int64)
+        low_row, low_col = i < cuts.row_cut, j < cuts.col_cut
+        return BlockLocal(np.where(low_row, Half.LOW, Half.HIGH),
+                          np.where(low_col, Half.LOW, Half.HIGH),
+                          np.where(low_row, i, i - cuts.row_cut),
+                          np.where(low_col, j, j - cuts.col_cut))
     i, j = _checked_integer(i, "row index"), _checked_integer(j, "col index")
     if not 0 <= i < cuts.n or not 0 <= j < cuts.n:
         raise DomainError(
@@ -91,18 +121,47 @@ def block_local_from_global(i: int, j: int, cuts: BlockCuts) -> BlockLocal:
     return BlockLocal(row[0], col[0], row[1], col[1])
 
 
-def block_global_from_local(loc: BlockLocal, cuts: BlockCuts) -> tuple[int, int]:
-    """Inverse of :func:`block_local_from_global`."""
+def _is_low(half, what: str) -> bool:
+    if not isinstance(half, Half):
+        raise DomainError(f"{what} must be a Half member, got {half!r}")
+    return half is Half.LOW
+
+
+def block_global_from_local(loc: BlockLocal, cuts: BlockCuts) -> tuple:
+    """Inverse of :func:`block_local_from_global`: (i, j) as ints, or as
+    int64 arrays when a local offset is an np.ndarray.  A block id that is
+    not a Half member raises DomainError, as an offset outside its block
+    does; the array errors are those of :func:`block_local_from_global`."""
+    if isinstance(loc.local_row, np.ndarray) or isinstance(loc.local_col, np.ndarray):
+        br, bc, r, c = np.broadcast_arrays(
+            np.asarray(loc.block_row, dtype=object),
+            np.asarray(loc.block_col, dtype=object),
+            _integer_array(loc.local_row, "local row"),
+            _integer_array(loc.local_col, "local col"))
+        low_row, low_col = br == Half.LOW, bc == Half.LOW
+        rows = np.where(low_row, cuts.row_cut, cuts.n - cuts.row_cut)
+        cols = np.where(low_col, cuts.col_cut, cuts.n - cuts.col_cut)
+        bad = (~low_row & (br != Half.HIGH)) | (~low_col & (bc != Half.HIGH))
+        bad |= (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
+        if bad.any():
+            k = np.argmax(bad)
+            block_global_from_local(BlockLocal(br.flat[k], bc.flat[k], r.flat[k],
+                                               c.flat[k]), cuts)  # raises
+        r, c = r.astype(np.int64), c.astype(np.int64)
+        return (np.where(low_row, r, r + cuts.row_cut),
+                np.where(low_col, c, c + cuts.col_cut))
     r = _checked_integer(loc.local_row, "local row")
     c = _checked_integer(loc.local_col, "local col")
-    row_size = cuts.row_cut if loc.block_row is Half.LOW else cuts.n - cuts.row_cut
-    col_size = cuts.col_cut if loc.block_col is Half.LOW else cuts.n - cuts.col_cut
+    low_row = _is_low(loc.block_row, "block row")
+    low_col = _is_low(loc.block_col, "block col")
+    row_size = cuts.row_cut if low_row else cuts.n - cuts.row_cut
+    col_size = cuts.col_cut if low_col else cuts.n - cuts.col_cut
     if not 0 <= r < row_size:
         raise DomainError(f"local row {r} out of range for block height {row_size}")
     if not 0 <= c < col_size:
         raise DomainError(f"local col {c} out of range for block width {col_size}")
-    i = r if loc.block_row is Half.LOW else cuts.row_cut + r
-    j = c if loc.block_col is Half.LOW else cuts.col_cut + c
+    i = r if low_row else cuts.row_cut + r
+    j = c if low_col else cuts.col_cut + c
     return i, j
 
 
@@ -126,8 +185,7 @@ def _radix_columns(a: np.ndarray, what: str, shape: tuple, size: int,
     """Factor sizes and place values as int64 columns that broadcast over
     ``ndim`` index axes, once ``a`` is known to be an integer array the
     maps can handle exactly in int64."""
-    if a.dtype.kind not in "iu":
-        raise TypeError(f"{what} must have an integer dtype, got {a.dtype}")
+    _integer_array(a, what)
     if size >= _INT64_LIMIT:
         raise DomainError(
             f"shape of size {size} is too large for int64 index arrays")

@@ -64,8 +64,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _random_matrix(rng, n: int) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def _random_matrices(rng, n: int, count: int) -> np.ndarray:
+    """count complex n x n matrices from one draw, on the stream of two
+    standard_normal((n, n)) calls per matrix: its real part, then imaginary."""
+    parts = rng.standard_normal((count, 2, n, n))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def _suite_round_trip(rng) -> SuiteResult:
@@ -74,7 +77,7 @@ def _suite_round_trip(rng) -> SuiteResult:
     for m in range(1, 6):
         n = 2 ** m
         for _ in range(100):
-            a = _random_matrix(rng, n)
+            a = _random_matrices(rng, n, 1)[0]
             err = float(np.max(np.abs(reconstruct(decompose(a, 0.0)) - a)))
             worst = max(worst, err)
             total += 1
@@ -89,7 +92,7 @@ def _suite_homomorphism(rng) -> SuiteResult:
     for m in range(1, 4):
         n = 2 ** m
         for _ in range(50):
-            a_dense, b_dense = _random_matrix(rng, n), _random_matrix(rng, n)
+            a_dense, b_dense = _random_matrices(rng, n, 2)
             a, b = decompose(a_dense, 0.0), decompose(b_dense, 0.0)
             err = coeff_distance(compose(a, b, tol=0.0),
                                  decompose(a_dense @ b_dense, 0.0))
@@ -129,7 +132,7 @@ def _suite_transpose(rng) -> SuiteResult:
     for m in range(1, 5):
         n = 2 ** m
         for _ in range(25):
-            a = _random_matrix(rng, n)
+            a = _random_matrices(rng, n, 1)[0]
             c = decompose(a, 0.0)
             err = coeff_distance(transpose_coeffs(c), decompose(a.T, 0.0))
             worst = max(worst, err)
@@ -163,14 +166,14 @@ def _suite_bijection() -> SuiteResult:
         lex += int(np.count_nonzero(back == g))
     block = 0
     for n in range(2, 9):
+        i, j = np.divmod(np.arange(n * n), n)
         for rc in range(1, n):
             for cc in range(1, n):
                 cuts = BlockCuts(n, rc, cc)
-                for i in range(n):
-                    for j in range(n):
-                        loc = block_local_from_global(i, j, cuts)
-                        total += 1
-                        block += block_global_from_local(loc, cuts) == (i, j)
+                bi, bj = block_global_from_local(
+                    block_local_from_global(i, j, cuts), cuts)
+                total += n * n
+                block += int(np.count_nonzero((bi == i) & (bj == j)))
     kron = 0
     for m in range(1, 4):
         # entry (i, j) is the product over k of factor k's entry at the
@@ -196,11 +199,11 @@ def _indicator(idx) -> CoefficientTensor:
     return CoefficientTensor._from_codes(2, _codes([idx]), np.ones(1, complex), 0.0)
 
 
-def _random_tensor(rng, codes: np.ndarray) -> CoefficientTensor:
-    """Order-2 tensor on the given codes: a standard normal real and then
-    imaginary part for each code in turn."""
-    values = rng.standard_normal(2 * len(codes)).view(complex)
-    return CoefficientTensor._from_codes(2, codes, values, 0.0)
+def _random_pair(rng, codes: np.ndarray) -> tuple:
+    """Two order-2 tensors on the given codes from one draw: for each tensor
+    in turn, a standard normal real and then imaginary part per code."""
+    values = rng.standard_normal((2, 2 * len(codes))).view(complex)
+    return tuple(CoefficientTensor._from_codes(2, codes, v, 0.0) for v in values)
 
 
 def _suite_closed_form(rng, ledger: list) -> SuiteResult:
@@ -218,8 +221,7 @@ def _suite_closed_form(rng, ledger: list) -> SuiteResult:
         passed += compose_antisym_gl4(a, b, tol=0.0) == dense
     worst = 0.0
     for _ in range(50):
-        a = _random_tensor(rng, _ANTISYM_GL4_CODES)
-        b = _random_tensor(rng, _ANTISYM_GL4_CODES)
+        a, b = _random_pair(rng, _ANTISYM_GL4_CODES)
         dense = decompose(reconstruct(a) @ reconstruct(b), 0.0)
         err = coeff_distance(compose_antisym_gl4(a, b, tol=0.0), dense)
         worst = max(worst, err)
@@ -234,7 +236,8 @@ def _suite_qvector(rng) -> SuiteResult:
     passed = total = 0
     worst = 0.0
     for _ in range(100):
-        q = QVector(tuple(rng.standard_normal(3)), tuple(rng.standard_normal(3)))
+        a, b = rng.standard_normal((2, 3))
+        q = QVector(tuple(a), tuple(b))
         c = qvector_to_coeffs(q, tol=0.0)
         back = coeffs_to_qvector(c)
         err = max(abs(x - y) for x, y in zip((*back.a, *back.b), (*q.a, *q.b)))
@@ -262,7 +265,7 @@ def _suite_closed_classes(rng) -> SuiteResult:
         codes = _codes(support)
         allowed = set(codes.tolist())
         for _ in range(100):
-            a, b = _random_tensor(rng, codes), _random_tensor(rng, codes)
+            a, b = _random_pair(rng, codes)
             total += 1
             passed += set(compose(a, b, tol=0.0).codes.tolist()) <= allowed
     # one antisymmetric-support pair escaping the six proves that class open

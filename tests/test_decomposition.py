@@ -8,12 +8,14 @@ from hypothesis import given, strategies as st
 from pauligl import (CoefficientTensor, DimensionError, DomainError,
                      basis_element, coeff_distance, compose, decompose,
                      lex_local_from_global, pauli_matrix, reconstruct)
-from pauligl.decomposition import MAX_DENSE_BYTES, MAX_ORDER, coefficient_array
+from pauligl.decomposition import (MAX_DENSE_BYTES, MAX_ORDER, _kept,
+                                   coefficient_array)
 
 NAN = float("nan")
 BIG = 1.7976931348623157e308
 
-from conftest import coefficient_tensors, random_complex_matrix
+from conftest import (coefficient_tensors, edge_floats, random_complex_matrix,
+                      tensor_outcome)
 from reference import (reference_coefficient_array,
                        reference_decompose_via_traces, reference_reconstruct)
 
@@ -285,6 +287,38 @@ class TestDecompose:
     def test_completeness(self, c):
         back = decompose(reconstruct(c), 0.0)
         assert coeff_distance(back, c) < 1e-12
+
+    @given(st.integers(1, 3).flatmap(lambda m: st.lists(
+        st.builds(complex, edge_floats, edge_floats),
+        min_size=4 ** m, max_size=4 ** m)), st.integers(0, 63))
+    def test_one_pass_build_matches_two_pass(self, values, k):
+        # the route decompose took before it built its tensor in one pass:
+        # prune, then _from_codes' checks and a second prune at tol 0
+        def two_pass(a, tol):
+            with np.errstate(over="ignore", invalid="ignore"):
+                flat = coefficient_array(a).reshape(-1)
+            if not np.isfinite(flat).all():
+                raise DomainError("non-finite coefficient: the matrix has a "
+                                  "non-finite or overflowing entry")
+            keep = np.flatnonzero(_kept(flat, tol))
+            return CoefficientTensor._from_codes(
+                flat.size.bit_length() // 2, keep.astype(np.uint64),
+                flat[keep], 0.0)
+
+        def modulus(z):
+            with np.errstate(over="ignore"):
+                return float(np.hypot(z.real, z.imag))
+
+        side = int(len(values) ** 0.5)
+        a = np.array(values).reshape(side, side)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeff = coefficient_array(a).flat[k % len(values)]
+        # the last two sit on the |c| == tol boundary of an entry and of a
+        # coefficient
+        for tol in (0.0, 1e-12, 0.5, modulus(values[k % len(values)]),
+                    modulus(coeff)):
+            assert (tensor_outcome(decompose, a, tol)
+                    == tensor_outcome(two_pass, a, tol))
 
 
 class TestReconstruct:

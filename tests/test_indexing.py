@@ -79,6 +79,17 @@ class TestBlockMaps:
             block_global_from_local(
                 BlockLocal(Half.LOW, Half.HIGH, 0, 3), BlockCuts(4, 2, 3))
 
+    @pytest.mark.parametrize("loc, message", [
+        (BlockLocal("low", "low", 0, 0), "block row must be a Half member, got 'low'"),
+        (BlockLocal(None, Half.LOW, 1, 1), "block row must be a Half member, got None"),
+        (BlockLocal(Half.HIGH, 0, 1, 1), "block col must be a Half member, got 0"),
+    ])
+    def test_block_id_not_a_half(self, loc, message):
+        # once read as HIGH: ('low', 'low', 0, 0) mapped to (2, 2)
+        with pytest.raises(DomainError) as info:
+            block_global_from_local(loc, self.CUTS)
+        assert str(info.value) == message
+
     def test_invalid_cuts(self):
         with pytest.raises(DomainError):
             BlockCuts(4, 0, 2)
@@ -396,3 +407,96 @@ class TestArrayLexMaps:
                        shape) == want
         big = np.array([2 ** 62 - 1])
         assert lex_local_from_global(big, (2,) * 62)[:, 0].tolist() == [1] * 62
+
+
+class TestArrayBlockMaps:
+    """Integer arrays against the scalar block maps, value for value."""
+
+    def test_matches_scalar_on_every_cut(self):
+        every_cut = [BlockCuts(n, rc, cc) for n in range(2, 9)
+                     for rc in range(1, n) for cc in range(1, n)]
+        for cuts in every_cut:
+            i, j = np.divmod(np.arange(cuts.n ** 2), cuts.n)
+            loc = block_local_from_global(i, j, cuts)
+            assert loc.local_row.dtype == loc.local_col.dtype == np.int64
+            fields = zip(loc.block_row, loc.block_col, loc.local_row.tolist(),
+                         loc.local_col.tolist())
+            assert [BlockLocal(*f) for f in fields] == [
+                block_local_from_global(a, b, cuts)
+                for a, b in zip(i.tolist(), j.tolist())]
+            back = block_global_from_local(loc, cuts)
+            assert [v.dtype for v in back] == [np.int64] * 2
+            assert back[0].tolist() == i.tolist() and back[1].tolist() == j.tolist()
+
+    def test_index_axes_are_kept(self):
+        cuts = BlockCuts(4, 1, 3)
+        i = np.array([[0, 3], [2, 1]], dtype=np.uint8)
+        loc = block_local_from_global(i, i.T, cuts)
+        assert loc.block_row.shape == loc.local_col.shape == (2, 2)
+        assert loc.block_row[0, 1] is Half.HIGH and loc.local_row[0, 1] == 2
+        back = block_global_from_local(loc, cuts)
+        assert np.array_equal(back[0], i) and np.array_equal(back[1], i.T)
+        empty = block_local_from_global(np.arange(0), np.arange(0), cuts)
+        assert [v.shape for v in block_global_from_local(empty, cuts)] == [(0,)] * 2
+
+    def test_scalar_and_array_arguments_mix(self):
+        cuts = BlockCuts(5, 2, 3)
+        loc = block_local_from_global(np.arange(5), 4, cuts)
+        assert loc.block_col.tolist() == [Half.HIGH] * 5
+        assert loc.local_col.tolist() == [1] * 5
+        assert loc.local_row.tolist() == [0, 1, 0, 1, 2]
+        i, j = block_global_from_local(
+            BlockLocal(Half.HIGH, loc.block_col[:3], np.arange(3), 1), cuts)
+        assert i.tolist() == [2, 3, 4] and j.tolist() == [4, 4, 4]
+        # one index as a 0-d array takes the array path too
+        loc = block_local_from_global(np.array(3), 0, cuts)
+        assert loc.block_row.shape == () and loc.block_row.item() is Half.HIGH
+
+    @pytest.mark.parametrize("bad", [(-1, 0), (0, 5), (5, 5), (2 ** 40, 0)])
+    def test_global_out_of_range(self, bad):
+        # the scalar call's message, for the first bad entry in ravel order
+        cuts = BlockCuts(5, 2, 3)
+        want = outcome(block_local_from_global, *bad, cuts)
+        assert want[0] is DomainError
+        i = np.array([[0, 4], [bad[0], -7]])
+        j = np.array([[1, 2], [bad[1], 9]])
+        assert outcome(block_local_from_global, i, j, cuts) == want
+
+    def test_global_out_of_range_unsigned(self):
+        i = np.array([1, 2 ** 64 - 1], dtype=np.uint64)
+        assert outcome(block_local_from_global, i, 0, BlockCuts(4, 2, 2)) == (
+            DomainError, f"index ({2 ** 64 - 1}, 0) out of range for side 4")
+
+    @pytest.mark.parametrize("bad", [
+        BlockLocal(Half.LOW, Half.LOW, 2, 0),
+        BlockLocal(Half.HIGH, Half.LOW, -1, 0),
+        BlockLocal(Half.LOW, Half.HIGH, 0, 2),
+        BlockLocal(Half.HIGH, Half.HIGH, 3, 9),
+        BlockLocal("low", Half.HIGH, 0, 0),
+        BlockLocal(Half.LOW, None, 0, 0),
+    ])
+    def test_local_out_of_range(self, bad):
+        cuts = BlockCuts(5, 2, 3)
+        want = outcome(block_global_from_local, bad, cuts)
+        assert want[0] is DomainError
+        loc = BlockLocal(np.array([Half.LOW, Half.HIGH, bad.block_row, Half.LOW]),
+                         np.array([Half.HIGH, Half.LOW, bad.block_col, None]),
+                         np.array([1, 2, bad.local_row, 9]),
+                         np.array([1, 2, bad.local_col, 0]))
+        assert outcome(block_global_from_local, loc, cuts) == want
+
+    @pytest.mark.parametrize("dtype", [float, bool, complex, object])
+    def test_non_integer_dtype(self, dtype):
+        cuts = BlockCuts(4, 2, 2)
+        good, bad = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=dtype)
+        want = f"must have an integer dtype, got {bad.dtype}"
+        for args, what in (((bad, good), "row index"), ((good, bad), "col index"),
+                           ((bad, 0), "row index"), ((0, bad), "col index")):
+            assert outcome(block_local_from_global, *args, cuts) == (
+                TypeError, f"{what} {want}")
+        halves = np.array([Half.LOW] * 2)
+        for loc, what in ((BlockLocal(halves, halves, bad, good), "local row"),
+                          (BlockLocal(halves, halves, good, bad), "local col"),
+                          (BlockLocal(Half.LOW, Half.LOW, 0, bad), "local col")):
+            assert outcome(block_global_from_local, loc, cuts) == (
+                TypeError, f"{what} {want}")

@@ -9,6 +9,7 @@ that test is run under the mutant.  See README *Self-verification*.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from typing import Callable, NamedTuple
 from unittest import mock
 
@@ -16,13 +17,16 @@ import numpy as np
 import pytest
 
 import test_decomposition
-from pauligl import algebra, composition, decomposition, symmetry, verify
+import test_verify
+from pauligl import algebra, composition, decomposition, indexing, symmetry, verify
 from pauligl.verify import run_verification
 
 _code_product = algebra.code_product
 _antisymmetric_mask = symmetry.antisymmetric_mask
 _distinct_codes = algebra.distinct_codes
 _qvector_to_dense = symmetry.qvector_to_dense
+_block_local_from_global = indexing.block_local_from_global
+_random_matrices = verify._random_matrices
 
 
 def _modulus(values):
@@ -46,6 +50,27 @@ def fourth_row_flipped(q):
     dense = _qvector_to_dense(q)
     dense[3] = -dense[3]
     return dense
+
+
+def row_cut_exclusive(i, j, cuts):
+    # i > row_cut for i >= row_cut: a row on the cut stays in the LOW band,
+    # one past its last row
+    loc = _block_local_from_global(i, j, cuts)
+    on_cut = i == cuts.row_cut
+    return dataclasses.replace(
+        loc, block_row=np.where(on_cut, indexing.Half.LOW, loc.block_row),
+        local_row=np.where(on_cut, cuts.row_cut, loc.local_row))
+
+
+def unpruned_from_dense(cls, m, flat, tol):
+    out = cls.__new__(cls)
+    out.m, out.codes, out.values = m, np.arange(flat.size, dtype=np.uint64), flat.copy()
+    return out
+
+
+def parts_swapped(rng, n, count):
+    a = _random_matrices(rng, n, count)
+    return a.imag + 1j * a.real
 
 
 def kept_at_tol(values, tol):
@@ -90,6 +115,18 @@ MUTANTS = [
            ((decomposition, "_kept", kept_at_positive_tol),),
            frozenset(),
            test_decomposition.TestPruneRule().test_dropped_at_its_modulus),
+    Mutant("array block map compares the row cut with > instead of >=",
+           ((verify, "block_local_from_global", row_cut_exclusive),
+            (indexing, "block_local_from_global", row_cut_exclusive)),
+           frozenset({"bijection"})),
+    Mutant("_from_dense skips its prune",
+           ((decomposition.CoefficientTensor, "_from_dense",
+             classmethod(unpruned_from_dense)),),
+           frozenset({"closed-form"})),
+    Mutant("random matrix draw swaps real and imaginary parts",
+           ((verify, "_random_matrices", parts_swapped),),
+           frozenset(),
+           test_verify.test_random_matrices_match_two_call_stream),
 ]
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from pauligl import ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor, composition, verify
 from pauligl.cli import dispatch
-from pauligl.verify import _codes, _indicator, _random_tensor, run_verification
+from pauligl.verify import _codes, _indicator, _random_pair, run_verification
 
 from conftest import edge_floats, tensor_outcome
 
@@ -97,11 +97,27 @@ def test_random_tensor_matches_dict_build(name):
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            got = tensor_outcome(_random_tensor, rng, _codes(support))
-            want = tensor_outcome(CoefficientTensor, 2, {
-                i: complex(ref_rng.standard_normal(), ref_rng.standard_normal())
-                for i in support}, tol=0.0)
-            assert got == want
+            for got in _random_pair(rng, _codes(support)):
+                want = tensor_outcome(CoefficientTensor, 2, {
+                    i: complex(ref_rng.standard_normal(), ref_rng.standard_normal())
+                    for i in support}, tol=0.0)
+                assert tensor_outcome(lambda: got) == want
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_random_matrices_match_two_call_stream():
+    # one draw per matrix (or pair) is the stream of two standard_normal
+    # calls per matrix, real part first, bit for bit; verify's suites cannot
+    # see a draw that swaps the parts, so this test is what catches it
+    for seed in range(200):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n, count in ((2, 1), (4, 2), (8, 1), (3, 2)):
+            got = verify._random_matrices(rng, n, count)
+            assert got.shape == (count, n, n)
+            for a in got:
+                want = (ref_rng.standard_normal((n, n))
+                        + 1j * ref_rng.standard_normal((n, n)))
+                assert a.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert rng.standard_normal() == ref_rng.standard_normal()
 
 
@@ -116,8 +132,9 @@ def test_indicator_matches_dict_build():
 def test_dense_pair_matches_dict_build(values):
     # verify_closed_forms builds its random 4x4 operands from all 16 codes
     A = np.array(values).reshape(4, 4)
-    got = tensor_outcome(CoefficientTensor._from_codes, 2,
-                         np.arange(16, dtype=np.uint64), A.reshape(-1), 0.0)
     want = tensor_outcome(CoefficientTensor, 2, {
         (p, q): A[p, q] for p in range(4) for q in range(4)}, tol=0.0)
-    assert got == want
+    assert tensor_outcome(CoefficientTensor._from_dense, 2,
+                          A.reshape(-1), 0.0) == want
+    assert tensor_outcome(CoefficientTensor._from_codes, 2,
+                          np.arange(16, dtype=np.uint64), A.reshape(-1), 0.0) == want
