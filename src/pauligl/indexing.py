@@ -203,13 +203,14 @@ def _lex_global_array(locals_: np.ndarray, shape: tuple, size: int) -> np.ndarra
     sizes, place = _radix_columns(locals_, "local indices", shape, size,
                                   locals_.ndim - 1)
     if len(locals_) != len(shape):
-        raise DomainError(
-            f"expected {len(shape)} local indices, got {len(locals_)}")
+        lex_global_from_local([0] * len(locals_), shape)  # raises
     bad = (locals_ < 0) | (locals_ >= sizes)
     if bad.any():
+        # the first bad digit of the first bad factor; 0 is in range elsewhere
         k = int(np.argmax(bad.reshape(len(shape), -1).any(axis=1)))
-        raise DomainError(f"local index {locals_[k][bad[k]][0]} out of range "
-                          f"for factor size {shape[k]}")
+        digits = [0] * len(shape)
+        digits[k] = locals_[k][bad[k]][0]
+        lex_global_from_local(digits, shape)  # raises
     return (locals_.astype(np.int64) * place).sum(axis=0)
 
 
@@ -267,8 +268,7 @@ def lex_local_from_global(i, shape):
         sizes, place = _radix_columns(i, "global indices", shape, size, i.ndim)
         bad = (i < 0) | (i >= size)
         if bad.any():
-            raise DomainError(
-                f"global index {i[bad][0]} out of range for shape of size {size}")
+            lex_local_from_global(i[bad][0], shape)  # raises
         return i.astype(np.int64) // place % sizes
     i = _checked_integer(i, "global index")
     if not 0 <= i < size:

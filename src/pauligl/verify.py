@@ -71,24 +71,32 @@ def _random_matrices(rng, n: int, count: int) -> np.ndarray:
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-def _suite_round_trip(rng) -> SuiteResult:
-    passed = total = 0
-    worst = 0.0
+class _Tally:
+    """One suite's checks: how many passed, how many ran, the worst error."""
+
+    def __init__(self):
+        self.passed = self.total = 0
+        self.worst = 0.0
+
+    def check(self, ok, error=None, count=1) -> None:
+        """Record one check, or ``count`` checks of which ``ok`` passed."""
+        self.passed += int(ok)
+        self.total += count
+        if error is not None:
+            self.worst = max(self.worst, error)
+
+
+def _suite_round_trip(tally, rng) -> str:
     for m in range(1, 6):
         n = 2 ** m
         for _ in range(100):
             a = _random_matrices(rng, n, 1)[0]
             err = float(np.max(np.abs(reconstruct(decompose(a, 0.0)) - a)))
-            worst = max(worst, err)
-            total += 1
-            passed += err < 1e-12 * n
-    return SuiteResult("round-trip", passed, total,
-                       f"worst error {worst:.3e}, bound 1e-12*side")
+            tally.check(err < 1e-12 * n, err)
+    return f"worst error {tally.worst:.3e}, bound 1e-12*side"
 
 
-def _suite_homomorphism(rng) -> SuiteResult:
-    passed = total = 0
-    worst = 0.0
+def _suite_homomorphism(tally, rng) -> str:
     for m in range(1, 4):
         n = 2 ** m
         for _ in range(50):
@@ -96,22 +104,16 @@ def _suite_homomorphism(rng) -> SuiteResult:
             a, b = decompose(a_dense, 0.0), decompose(b_dense, 0.0)
             err = coeff_distance(compose(a, b, tol=0.0),
                                  decompose(a_dense @ b_dense, 0.0))
-            worst = max(worst, err)
-            total += 1
-            passed += err < 1e-10
-    return SuiteResult("homomorphism", passed, total,
-                       f"worst error {worst:.3e}, bound 1e-10")
+            tally.check(err < 1e-10, err)
+    return f"worst error {tally.worst:.3e}, bound 1e-10"
 
 
-def _suite_orthogonality() -> SuiteResult:
-    passed = total = 0
+def _suite_orthogonality(tally) -> str:
     for mu in range(4):
         for nu in range(4):
             phase, lam = single_product(mu, nu)
             expected = phase.to_complex() * pauli_matrix(lam[0])
-            total += 1
-            passed += bool(np.array_equal(pauli_matrix(mu) @ pauli_matrix(nu),
-                                          expected))
+            tally.check(np.array_equal(pauli_matrix(mu) @ pauli_matrix(nu), expected))
     per_m = []
     for m in range(1, 4):
         dense = np.array([basis_element(idx)
@@ -119,29 +121,21 @@ def _suite_orthogonality() -> SuiteResult:
         # every Tr(a @ b) at once; entries are 0, +-1, +-i, so sums are exact
         traces = np.einsum("aij,bji->ab", dense, dense)
         count = int(np.count_nonzero(traces == 2 ** m * np.eye(len(dense))))
-        total += traces.size
-        passed += count
+        tally.check(count, count=traces.size)
         per_m.append(f"m={m} {count}/{traces.size}")
-    return SuiteResult("orthogonality", passed, total,
-                       "exact; products 16/16, traces " + ", ".join(per_m))
+    return "exact; products 16/16, traces " + ", ".join(per_m)
 
 
-def _suite_transpose(rng) -> SuiteResult:
-    passed = total = 0
-    worst = 0.0
+def _suite_transpose(tally, rng) -> str:
     for m in range(1, 5):
         n = 2 ** m
         for _ in range(25):
             a = _random_matrices(rng, n, 1)[0]
             c = decompose(a, 0.0)
             err = coeff_distance(transpose_coeffs(c), decompose(a.T, 0.0))
-            worst = max(worst, err)
-            total += 1
-            passed += err < 1e-12
-            total += 1
-            passed += transpose_coeffs(transpose_coeffs(c)) == c
-    return SuiteResult("transpose", passed, total,
-                       f"worst error {worst:.3e}, bound 1e-12; involution exact")
+            tally.check(err < 1e-12, err)
+            tally.check(transpose_coeffs(transpose_coeffs(c)) == c)
+    return f"worst error {tally.worst:.3e}, bound 1e-12; involution exact"
 
 
 def _factor_shapes(limit: int = 64) -> list:
@@ -157,14 +151,12 @@ def _factor_shapes(limit: int = 64) -> list:
     return shapes
 
 
-def _suite_bijection() -> SuiteResult:
-    total = lex = 0
+def _suite_bijection(tally) -> str:
     for shape in _factor_shapes(64):
         g = np.arange(math.prod(shape))
         back = lex_global_from_local(lex_local_from_global(g, shape), shape)
-        total += len(g)
-        lex += int(np.count_nonzero(back == g))
-    block = 0
+        tally.check(np.count_nonzero(back == g), count=len(g))
+    lex = tally.passed
     for n in range(2, 9):
         i, j = np.divmod(np.arange(n * n), n)
         for rc in range(1, n):
@@ -172,9 +164,8 @@ def _suite_bijection() -> SuiteResult:
                 cuts = BlockCuts(n, rc, cc)
                 bi, bj = block_global_from_local(
                     block_local_from_global(i, j, cuts), cuts)
-                total += n * n
-                block += int(np.count_nonzero((bi == i) & (bj == j)))
-    kron = 0
+                tally.check(np.count_nonzero((bi == i) & (bj == j)), count=n * n)
+    block = tally.passed - lex
     for m in range(1, 4):
         # entry (i, j) is the product over k of factor k's entry at the
         # k-th digits of i and j
@@ -184,10 +175,9 @@ def _suite_bijection() -> SuiteResult:
             prod = np.ones((2 ** m, 2 ** m), dtype=complex)
             for k, mu in enumerate(idx):
                 prod *= pauli_matrix(mu)[rows[k], cols[k]]
-            total += 1
-            kron += bool(np.array_equal(basis_element(idx), prod))
-    return SuiteResult("bijection", lex + block + kron, total,
-                       f"lex {lex}, block {block}, kron factorization {kron}; all exact")
+            tally.check(np.array_equal(basis_element(idx), prod))
+    kron = tally.passed - lex - block
+    return f"lex {lex}, block {block}, kron factorization {kron}; all exact"
 
 
 def _codes(support) -> np.ndarray:
@@ -206,59 +196,43 @@ def _random_pair(rng, codes: np.ndarray) -> tuple:
     return tuple(CoefficientTensor._from_codes(2, codes, v, 0.0) for v in values)
 
 
-def _suite_closed_form(rng, ledger: list) -> SuiteResult:
+def _suite_closed_form(tally, rng, ledger: list) -> str:
     report = verify_closed_forms(rng, pairs=100)
     ledger.append(report)
-    passed = total = 0
     for fam in report.families:
-        total += 1
-        passed += fam.confirmed
+        tally.check(fam.confirmed)
     # against the dense route, which shares no code with the compose kernel
     for s, t in itertools.product(sorted(ANTISYMMETRIC_GL4_SUPPORT), repeat=2):
         a, b = _indicator(s), _indicator(t)
         dense = decompose(reconstruct(a) @ reconstruct(b), 0.0)
-        total += 1
-        passed += compose_antisym_gl4(a, b, tol=0.0) == dense
-    worst = 0.0
+        tally.check(compose_antisym_gl4(a, b, tol=0.0) == dense)
     for _ in range(50):
         a, b = _random_pair(rng, _ANTISYM_GL4_CODES)
         dense = decompose(reconstruct(a) @ reconstruct(b), 0.0)
         err = coeff_distance(compose_antisym_gl4(a, b, tol=0.0), dense)
-        worst = max(worst, err)
-        total += 1
-        passed += err <= 1e-12
-    detail = (f"families 4, exhaustive antisym pairs 36, random antisym pairs 50 "
-              f"(worst error {worst:.3e})")
-    return SuiteResult("closed-form", passed, total, detail)
+        tally.check(err <= 1e-12, err)
+    return (f"families 4, exhaustive antisym pairs 36, random antisym pairs 50 "
+            f"(worst error {tally.worst:.3e})")
 
 
-def _suite_qvector(rng) -> SuiteResult:
-    passed = total = 0
-    worst = 0.0
+def _suite_qvector(tally, rng) -> str:
     for _ in range(100):
         a, b = rng.standard_normal((2, 3))
         q = QVector(tuple(a), tuple(b))
         c = qvector_to_coeffs(q, tol=0.0)
         back = coeffs_to_qvector(c)
         err = max(abs(x - y) for x, y in zip((*back.a, *back.b), (*q.a, *q.b)))
-        worst = max(worst, err)
-        total += 1
-        passed += err < 1e-12
+        tally.check(err < 1e-12, err)
 
         dense = qvector_to_dense(q)
-        total += 1
-        passed += bool(np.all(dense + dense.T == 0))
+        tally.check(np.all(dense + dense.T == 0))
 
         cross = coeff_distance(decompose(dense, 0.0), c)
-        worst = max(worst, cross)
-        total += 1
-        passed += cross < 1e-12
-    return SuiteResult("q-vector", passed, total,
-                       f"round trip, exact antisymmetry, cross-path; worst error {worst:.3e}")
+        tally.check(cross < 1e-12, cross)
+    return f"round trip, exact antisymmetry, cross-path; worst error {tally.worst:.3e}"
 
 
-def _suite_closed_classes(rng) -> SuiteResult:
-    passed = total = 0
+def _suite_closed_classes(tally, rng) -> str:
     first_slot = {(0, 0), (1, 0), (2, 0), (3, 0)}
     second_slot = {(0, 0), (0, 1), (0, 2), (0, 3)}
     for support in (first_slot, second_slot):
@@ -266,22 +240,22 @@ def _suite_closed_classes(rng) -> SuiteResult:
         allowed = set(codes.tolist())
         for _ in range(100):
             a, b = _random_pair(rng, codes)
-            total += 1
-            passed += set(compose(a, b, tol=0.0).codes.tolist()) <= allowed
+            tally.check(set(compose(a, b, tol=0.0).codes.tolist()) <= allowed)
     # one antisymmetric-support pair escaping the six proves that class open
     escape = compose(_indicator((2, 0)), _indicator((2, 1)), tol=0.0)
-    total += 1
-    passed += not antisymmetric_mask(escape).all()
-    return SuiteResult("closed-classes", passed, total,
-                       "two closed supports, 100 pairs each; one open-class counterexample")
+    tally.check(not antisymmetric_mask(escape).all())
+    return "two closed supports, 100 pairs each; one open-class counterexample"
 
 
 def _run(name: str, suite, *args) -> SuiteResult:
-    """suite(*args), or a failed result that names what it raised."""
+    """The result of suite(tally, *args) under ``name``, or a failed result
+    that names what it raised."""
+    tally = _Tally()
     try:
-        return suite(*args)
+        detail = suite(tally, *args)
     except Exception as exc:  # a fault in the checked code fails its suite
         return SuiteResult(name, 0, 1, f"raised {type(exc).__name__}: {exc}")
+    return SuiteResult(name, tally.passed, tally.total, detail)
 
 
 def run_verification(seed: int = 0) -> VerificationReport:

@@ -62,6 +62,9 @@ class TestPhase:
             z = p.to_complex()
             assert abs(z.real) + abs(z.imag) == 1.0
 
+    def test_repr_is_the_phase(self):
+        assert [repr(p) for p in Phase] == ["+1", "+i", "-1", "-i"]
+
 
 class TestSingleProduct:
     # (mu, nu) -> (phase, lambda), spot values frozen up front

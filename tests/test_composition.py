@@ -545,6 +545,11 @@ class TestVerifyClosedForms:
                 (fam, err.hex()) for fam, err in want.items()]
             assert all(type(f.max_error) is float for f in got.families)
 
+    def test_default_generator_is_seed_zero(self):
+        got = verify_closed_forms()
+        want = verify_closed_forms(np.random.default_rng(0))
+        assert got.families == want.families
+
     @pytest.mark.parametrize("pairs", [0, -3])
     def test_needs_a_pair(self, pairs):
         # over no pairs every family would read CONFIRMED with error 0

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from pauligl import (CoefficientTensor, DimensionError, DomainError,
                      basis_element, coeff_distance, compose, decompose,
                      lex_local_from_global, pauli_matrix, reconstruct)
-from pauligl.decomposition import (MAX_DENSE_BYTES, MAX_ORDER, _kept,
-                                   coefficient_array)
+from pauligl.decomposition import (MAX_DENSE_BYTES, MAX_ORDER, _coeff_matrix,
+                                   _kept, coefficient_array)
 
 NAN = float("nan")
 BIG = 1.7976931348623157e308
@@ -370,6 +370,11 @@ class TestCoeffDistance:
     def test_order_mismatch(self):
         with pytest.raises(DimensionError):
             coeff_distance(CoefficientTensor(1, {}), CoefficientTensor(2, {}))
+
+    def test_coeff_matrix_needs_order_two(self):
+        with pytest.raises(DimensionError,
+                           match=r"^closed form requires tensor order 2, got 3$"):
+            _coeff_matrix(CoefficientTensor(3, {}))
 
     def test_overflowing_distance_is_inf(self):
         # no RuntimeWarning either: the test run turns those into errors

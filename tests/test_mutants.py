@@ -16,6 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import test_composition
 import test_decomposition
 import test_verify
 from pauligl import algebra, composition, decomposition, indexing, symmetry, verify
@@ -27,6 +28,8 @@ _distinct_codes = algebra.distinct_codes
 _qvector_to_dense = symmetry.qvector_to_dense
 _block_local_from_global = indexing.block_local_from_global
 _random_matrices = verify._random_matrices
+_row_blocks = composition._row_blocks
+_tally_check = verify._Tally.check
 
 
 def _modulus(values):
@@ -71,6 +74,14 @@ def unpruned_from_dense(cls, m, flat, tol):
 def parts_swapped(rng, n, count):
     a = _random_matrices(rng, n, count)
     return a.imag + 1j * a.real
+
+
+def blocks_last_first(a, b):
+    return _row_blocks(a, b)[::-1]
+
+
+def failed_counted_as_passed(self, ok, error=None, count=1):
+    _tally_check(self, count, error, count)
 
 
 def kept_at_tol(values, tol):
@@ -127,6 +138,24 @@ MUTANTS = [
            ((verify, "_random_matrices", parts_swapped),),
            frozenset(),
            test_verify.test_random_matrices_match_two_call_stream),
+    Mutant("_PHASE_IM negated: compose conjugates its phases",
+           ((composition, "_PHASE_IM", -composition._PHASE_IM),),
+           frozenset({"homomorphism", "closed-form"})),
+    Mutant("x_bits and z_bits swapped",
+           ((algebra, "x_bits", algebra.z_bits),
+            (algebra, "z_bits", algebra.x_bits)),
+           frozenset({"homomorphism", "orthogonality", "closed-form"})),
+    Mutant("_FORWARD conjugated",
+           ((decomposition, "_FORWARD", decomposition._FORWARD.conj()),),
+           frozenset({"round-trip", "homomorphism", "closed-form", "q-vector"})),
+    Mutant("_row_blocks returns its blocks last-first",
+           ((composition, "_row_blocks", blocks_last_first),),
+           frozenset(),
+           test_composition.TestRoutes().test_blocks_add_onto_running_sums),
+    Mutant("the tally counts a failed check as passed",
+           ((verify._Tally, "check", failed_counted_as_passed),),
+           frozenset(),
+           test_verify.test_the_runner_counts_failed_checks),
 ]
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -77,10 +79,21 @@ def test_closed_form_pairs_catch_a_wrong_kernel_phase(monkeypatch):
     # must fail too, not only the family checks of the product law
     monkeypatch.setattr(composition, "_PHASE_IM", -composition._PHASE_IM)
     ledger = []
-    result = verify._suite_closed_form(np.random.default_rng(0), ledger)
+    result = verify._run("closed-form", verify._suite_closed_form,
+                         np.random.default_rng(0), ledger)
     family_failures = sum(not f.confirmed for f in ledger[0].families)
     assert result.total == 90
     assert result.total - result.passed > family_failures
+
+
+def test_the_runner_counts_failed_checks():
+    # a suite's failed checks must reach its result; a fixture-free test, so
+    # the mutant table can run it under a mutant tally
+    with mock.patch.object(composition, "_PHASE_IM", -composition._PHASE_IM):
+        result = verify._run("closed-form", verify._suite_closed_form,
+                             np.random.default_rng(0), [])
+    assert result.name == "closed-form"
+    assert result.passed < result.total == 90
 
 
 SUPPORTS = {
