@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import EPSILON, Phase, code_product, distinct_codes
 from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor, _checked_tol,
-                            _coeff_matrix)
+                            _coeff_matrix, _stack_sizes)
 from .errors import DimensionError, DomainError
 from .symmetry import (ANTISYMMETRIC_GL4_SUPPORT, _ANTISYM_GL4_CODES,
                        _check_antisym_gl4)
@@ -328,15 +328,15 @@ def verify_closed_forms(rng: np.random.Generator | None = None,
         rng = np.random.default_rng(0)
 
     worst = np.zeros((4, 4))
-    for _ in range(pairs):
-        # one draw: A's real and imaginary parts, then B's
-        (a_re, a_im), (b_re, b_im) = rng.standard_normal((2, 2, 4, 4))
-        A, B = a_re + 1j * a_im, b_re + 1j * b_im
-        a = CoefficientTensor._from_dense(2, A.reshape(-1), 0.0)
-        b = CoefficientTensor._from_dense(2, B.reshape(-1), 0.0)
-        d = _gl4_product_array(A, B) - _coeff_matrix(compose(a, b, 0.0))
-        # np.hypot is abs() of a Python complex, bit for bit
-        np.maximum(worst, np.hypot(d.real, d.imag), out=worst)
+    for count in _stack_sizes(pairs, 32):
+        # one draw: per pair, A's real and imaginary parts, then B's
+        parts = rng.standard_normal((count, 2, 2, 4, 4))
+        dense = parts[:, :, 0] + 1j * parts[:, :, 1]
+        tensors = CoefficientTensor._from_dense(2, dense.reshape(2 * count, 16), 0.0)
+        for (A, B), a, b in zip(dense, tensors[0::2], tensors[1::2]):
+            d = _gl4_product_array(A, B) - _coeff_matrix(compose(a, b, 0.0))
+            # np.hypot is abs() of a Python complex, bit for bit
+            np.maximum(worst, np.hypot(d.real, d.imag), out=worst)
     families = tuple(FamilyCheck(fam, pairs, float(worst[part].max()))
                      for fam, part in _FAMILIES.items())
 

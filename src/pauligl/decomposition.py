@@ -6,7 +6,9 @@ generator basis; the coefficient attached to a multi-index is
     c(idx) = 2^-m * Tr(basis_element(idx) @ A).
 
 ``decompose`` evaluates this with a factorized transform (one 4x4 mixing pass
-per tensor factor, O(m * 4^m) total).
+per tensor factor, O(m * 4^m) total).  The transform takes a stack of
+matrices, which ``verify`` passes through it at once; ``decompose``,
+``reconstruct`` and ``coefficient_array`` are its one-matrix case.
 """
 
 from __future__ import annotations
@@ -113,16 +115,23 @@ class CoefficientTensor:
         return out
 
     @classmethod
-    def _from_dense(cls, m: int, flat: np.ndarray, tol: float) -> "CoefficientTensor":
-        """Build from all 4**m finite coefficients, the flat position of each
-        its code, with m and tol already checked; prunes once."""
-        # positions are sorted, distinct and in range by construction
-        keep = np.flatnonzero(_kept(flat, tol))
-        codes, values = keep.astype(np.uint64), flat[keep]
-        codes.flags.writeable = False
-        values.flags.writeable = False
-        out = cls.__new__(cls)
-        out.m, out.codes, out.values = m, codes, values
+    def _from_dense(cls, m: int, flat: np.ndarray, tol: float) -> list:
+        """One tensor per row of a (B, 4**m) coefficient array, the column of
+        each coefficient its code, with m and tol already checked; prunes
+        the whole stack at once.  A non-finite coefficient raises DomainError."""
+        if not np.isfinite(flat).all():
+            raise DomainError("non-finite coefficient: the matrix has a "
+                              "non-finite or overflowing entry")
+        out = []
+        # columns are sorted, distinct and in range by construction
+        for row, kept in zip(flat, _kept(flat, tol)):
+            keep = np.flatnonzero(kept)
+            codes, values = keep.astype(np.uint64), row[keep]
+            codes.flags.writeable = False
+            values.flags.writeable = False
+            tensor = cls.__new__(cls)
+            tensor.m, tensor.codes, tensor.values = m, codes, values
+            out.append(tensor)
         return out
 
     def _assign(self, m, codes, values, tol) -> None:
@@ -224,34 +233,57 @@ def _mixing_matrices() -> tuple[np.ndarray, np.ndarray]:
 _FORWARD, _INVERSE = _mixing_matrices()
 
 
-def _interleaved(matrix: np.ndarray, m: int) -> np.ndarray:
-    # (2^m, 2^m) -> (4,)*m with axis k the flattened (row_k, col_k) pair
-    t = matrix.reshape((2,) * (2 * m))
-    perm = [ax for k in range(m) for ax in (k, m + k)]
-    return t.transpose(perm).reshape((4,) * m)
+#: Most complex entries one stacked transform is given; a caller with more
+#: samples splits them with ``_stack_sizes``, so its scratch memory stays
+#: flat whatever the sample count.
+_STACK_ENTRIES = 1 << 12
 
 
-def _deinterleaved(tensor: np.ndarray, m: int) -> np.ndarray:
-    t = tensor.reshape((2,) * (2 * m))
-    perm = [2 * k for k in range(m)] + [2 * k + 1 for k in range(m)]
-    return t.transpose(perm).reshape((2 ** m, 2 ** m))
+def _stack_sizes(count: int, entries: int) -> list:
+    """Sizes of the stacks that count samples of ``entries`` complex entries
+    each are split into: as many samples as fit in _STACK_ENTRIES, at least one."""
+    step = max(1, _STACK_ENTRIES // entries)
+    return [min(step, count - start) for start in range(0, count, step)]
 
 
-def _apply_along_each_axis(tensor: np.ndarray, mix: np.ndarray, m: int) -> np.ndarray:
+def _interleaved(stack: np.ndarray, m: int) -> np.ndarray:
+    # (B, 2^m, 2^m) -> (4,)*m + (B,), axis k the flattened (row_k, col_k)
+    # pair and the stack axis last; a view, copied by _transform's reshape
+    t = stack.reshape((len(stack),) + (2,) * (2 * m))
+    perm = [1 + ax for k in range(m) for ax in (k, m + k)]
+    return t.transpose(perm + [0])
+
+
+def _deinterleaved(flat: np.ndarray, m: int) -> np.ndarray:
+    # (B, 4**m) in _interleaved's factor order -> (B, 2^m, 2^m)
+    t = flat.reshape((len(flat),) + (2,) * (2 * m))
+    perm = [1 + 2 * k for k in range(m)] + [2 + 2 * k for k in range(m)]
+    return t.transpose([0] + perm).reshape(len(flat), 2 ** m, 2 ** m)
+
+
+def _transform(t: np.ndarray, mix: np.ndarray, m: int) -> np.ndarray:
+    """Mix every tensor factor of a stack held as (4,)*m + (B,) in C order;
+    returns the (B, 4**m) result, one row per stacked tensor."""
     # Each pass mixes the leading axis and moves it to the back: t.T @ mix.T
     # is (mix @ t).T, written C-contiguous, so the reshape is a view.  After m
-    # passes every axis has been mixed once and the order is restored.
-    t = tensor.reshape(4, -1)
+    # passes every factor axis has been mixed once, in order, and the stack
+    # axis leads.
+    t = t.reshape(4, -1)
     for _ in range(m):
         t = (t.T @ mix.T).reshape(4, -1)
-    return t.reshape((4,) * m)
+    return t.reshape(-1, 4 ** m)
+
+
+def _coefficients(stack: np.ndarray, m: int) -> np.ndarray:
+    """(B, 4**m) basis coefficients of each matrix of a (B, 2^m, 2^m) stack."""
+    return _transform(_interleaved(stack, m), _FORWARD, m)
 
 
 def coefficient_array(matrix) -> np.ndarray:
     """Dense (4,)*m array of all basis coefficients of a 2^m x 2^m matrix."""
     a = _as_square(matrix)
     m = _order_of(a.shape[0])
-    return _apply_along_each_axis(_interleaved(a, m), _FORWARD, m)
+    return _coefficients(a[None], m).reshape((4,) * m)
 
 
 def decompose(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
@@ -264,11 +296,16 @@ def decompose(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
     _checked_tol(tol)
     with np.errstate(over="ignore", invalid="ignore"):
         c = coefficient_array(matrix)
-    flat = c.reshape(-1)
-    if not np.isfinite(flat).all():
-        raise DomainError("non-finite coefficient: the matrix has a "
-                          "non-finite or overflowing entry")
-    return CoefficientTensor._from_dense(c.ndim, flat, tol)
+    return CoefficientTensor._from_dense(c.ndim, c.reshape(1, -1), tol)[0]
+
+
+def _decompose_stack(stack: np.ndarray) -> list:
+    """``decompose(a, 0.0)`` of each matrix a of a complex (B, 2^m, 2^m)
+    stack, m >= 1, through one transform."""
+    m = stack.shape[-1].bit_length() - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = _coefficients(stack, m)
+    return CoefficientTensor._from_dense(m, flat, 0.0)
 
 
 def reconstruct(c: CoefficientTensor) -> np.ndarray:
@@ -277,15 +314,22 @@ def reconstruct(c: CoefficientTensor) -> np.ndarray:
     Raises DimensionError when the dense array would exceed MAX_DENSE_BYTES,
     and DomainError when a sum overflows to a non-finite entry.
     """
-    _check_dense_size(c.m)
-    dense = np.zeros(4 ** c.m, dtype=complex)
-    dense[c.codes] = c.values
-    dense = dense.reshape((4,) * c.m)
+    return _reconstruct_stack([c])[0]
+
+
+def _reconstruct_stack(tensors: list) -> np.ndarray:
+    """``reconstruct`` of each of a non-empty list of tensors of one order,
+    as one (B, 2^m, 2^m) stack, through one transform."""
+    m = tensors[0].m
+    _check_dense_size(m)
+    dense = np.zeros((len(tensors), 4 ** m), dtype=complex)
+    for row, c in zip(dense, tensors):
+        row[c.codes] = c.values
     # a sum past the largest float is inf (or nan), which is rejected below;
     # numpy's warning would only echo that to stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        dense = _apply_along_each_axis(dense, _INVERSE, c.m)
+        dense = _transform(dense.T, _INVERSE, m)
     if not np.isfinite(dense).all():
         raise DomainError("non-finite matrix entry: a sum of coefficients "
                           "overflows")
-    return _deinterleaved(dense, c.m)
+    return _deinterleaved(dense, m)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .algebra import basis_element, pack_index, pauli_matrix, single_product
 from .composition import ClosedFormReport, compose, compose_antisym_gl4, verify_closed_forms
-from .decomposition import CoefficientTensor, coeff_distance, decompose, reconstruct
+from .decomposition import (CoefficientTensor, _decompose_stack, _reconstruct_stack,
+                            _stack_sizes, coeff_distance)
 from .indexing import (BlockCuts, block_global_from_local, block_local_from_global,
                        lex_global_from_local, lex_local_from_global)
 from .symmetry import (_ANTISYM_GL4_CODES, ANTISYMMETRIC_GL4_SUPPORT, QVector,
@@ -89,22 +90,25 @@ class _Tally:
 def _suite_round_trip(tally, rng) -> str:
     for m in range(1, 6):
         n = 2 ** m
-        for _ in range(100):
-            a = _random_matrices(rng, n, 1)[0]
-            err = float(np.max(np.abs(reconstruct(decompose(a, 0.0)) - a)))
-            tally.check(err < 1e-12 * n, err)
+        for count in _stack_sizes(100, n * n):
+            a = _random_matrices(rng, n, count)
+            back = _reconstruct_stack(_decompose_stack(a))
+            err = np.abs(back - a).max(axis=(1, 2))
+            tally.check(np.count_nonzero(err < 1e-12 * n), float(err.max()), count)
     return f"worst error {tally.worst:.3e}, bound 1e-12*side"
 
 
 def _suite_homomorphism(tally, rng) -> str:
     for m in range(1, 4):
         n = 2 ** m
-        for _ in range(50):
-            a_dense, b_dense = _random_matrices(rng, n, 2)
-            a, b = decompose(a_dense, 0.0), decompose(b_dense, 0.0)
-            err = coeff_distance(compose(a, b, tol=0.0),
-                                 decompose(a_dense @ b_dense, 0.0))
-            tally.check(err < 1e-10, err)
+        for count in _stack_sizes(50, 2 * n * n):
+            # each pair is drawn a then b
+            dense = _random_matrices(rng, n, 2 * count)
+            factors = _decompose_stack(dense)
+            products = _decompose_stack(_pair_products(dense))
+            for a, b, ab in zip(factors[0::2], factors[1::2], products):
+                err = coeff_distance(compose(a, b, tol=0.0), ab)
+                tally.check(err < 1e-10, err)
     return f"worst error {tally.worst:.3e}, bound 1e-10"
 
 
@@ -114,6 +118,7 @@ def _suite_orthogonality(tally) -> str:
             phase, lam = single_product(mu, nu)
             expected = phase.to_complex() * pauli_matrix(lam[0])
             tally.check(np.array_equal(pauli_matrix(mu) @ pauli_matrix(nu), expected))
+    products = tally.passed
     per_m = []
     for m in range(1, 4):
         dense = np.array([basis_element(idx)
@@ -123,18 +128,19 @@ def _suite_orthogonality(tally) -> str:
         count = int(np.count_nonzero(traces == 2 ** m * np.eye(len(dense))))
         tally.check(count, count=traces.size)
         per_m.append(f"m={m} {count}/{traces.size}")
-    return "exact; products 16/16, traces " + ", ".join(per_m)
+    return f"exact; products {products}/16, traces " + ", ".join(per_m)
 
 
 def _suite_transpose(tally, rng) -> str:
     for m in range(1, 5):
         n = 2 ** m
-        for _ in range(25):
-            a = _random_matrices(rng, n, 1)[0]
-            c = decompose(a, 0.0)
-            err = coeff_distance(transpose_coeffs(c), decompose(a.T, 0.0))
-            tally.check(err < 1e-12, err)
-            tally.check(transpose_coeffs(transpose_coeffs(c)) == c)
+        for count in _stack_sizes(25, 2 * n * n):
+            a = _random_matrices(rng, n, count)
+            tensors = _decompose_stack(np.concatenate([a, a.transpose(0, 2, 1)]))
+            for c, ct in zip(tensors[:count], tensors[count:]):
+                err = coeff_distance(transpose_coeffs(c), ct)
+                tally.check(err < 1e-12, err)
+                tally.check(transpose_coeffs(transpose_coeffs(c)) == c)
     return f"worst error {tally.worst:.3e}, bound 1e-12; involution exact"
 
 
@@ -189,11 +195,26 @@ def _indicator(idx) -> CoefficientTensor:
     return CoefficientTensor._from_codes(2, _codes([idx]), np.ones(1, complex), 0.0)
 
 
-def _random_pair(rng, codes: np.ndarray) -> tuple:
-    """Two order-2 tensors on the given codes from one draw: for each tensor
-    in turn, a standard normal real and then imaginary part per code."""
-    values = rng.standard_normal((2, 2 * len(codes))).view(complex)
-    return tuple(CoefficientTensor._from_codes(2, codes, v, 0.0) for v in values)
+def _random_pairs(rng, codes: np.ndarray, count: int) -> list:
+    """count pairs of order-2 tensors on the given codes from one draw: for
+    each tensor in turn, a standard normal real and then imaginary part per
+    code."""
+    values = rng.standard_normal((count, 2, 2 * len(codes))).view(complex)
+    return [tuple(CoefficientTensor._from_codes(2, codes, v, 0.0) for v in pair)
+            for pair in values]
+
+
+def _pair_products(stack: np.ndarray) -> np.ndarray:
+    """x @ y of each pair (x, y) of consecutive matrices, one pair at a time."""
+    # a stacked matmul may take another BLAS path, with other rounding
+    return np.array([x @ y for x, y in zip(stack[0::2], stack[1::2])])
+
+
+def _dense_route(pairs) -> list:
+    """decompose(reconstruct(a) @ reconstruct(b), 0.0) of each pair (a, b),
+    with one stacked transform each way."""
+    dense = _reconstruct_stack([c for pair in pairs for c in pair])
+    return _decompose_stack(_pair_products(dense))
 
 
 def _suite_closed_form(tally, rng, ledger: list) -> str:
@@ -202,33 +223,33 @@ def _suite_closed_form(tally, rng, ledger: list) -> str:
     for fam in report.families:
         tally.check(fam.confirmed)
     # against the dense route, which shares no code with the compose kernel
-    for s, t in itertools.product(sorted(ANTISYMMETRIC_GL4_SUPPORT), repeat=2):
-        a, b = _indicator(s), _indicator(t)
-        dense = decompose(reconstruct(a) @ reconstruct(b), 0.0)
-        tally.check(compose_antisym_gl4(a, b, tol=0.0) == dense)
-    for _ in range(50):
-        a, b = _random_pair(rng, _ANTISYM_GL4_CODES)
-        dense = decompose(reconstruct(a) @ reconstruct(b), 0.0)
-        err = coeff_distance(compose_antisym_gl4(a, b, tol=0.0), dense)
-        tally.check(err <= 1e-12, err)
+    basis = [_indicator(s) for s in sorted(ANTISYMMETRIC_GL4_SUPPORT)]
+    pairs = list(itertools.product(basis, repeat=2))
+    for (a, b), want in zip(pairs, _dense_route(pairs)):
+        tally.check(compose_antisym_gl4(a, b, tol=0.0) == want)
+    for count in _stack_sizes(50, 32):
+        pairs = _random_pairs(rng, _ANTISYM_GL4_CODES, count)
+        for (a, b), want in zip(pairs, _dense_route(pairs)):
+            err = coeff_distance(compose_antisym_gl4(a, b, tol=0.0), want)
+            tally.check(err <= 1e-12, err)
     return (f"families 4, exhaustive antisym pairs 36, random antisym pairs 50 "
             f"(worst error {tally.worst:.3e})")
 
 
 def _suite_qvector(tally, rng) -> str:
-    for _ in range(100):
-        a, b = rng.standard_normal((2, 3))
-        q = QVector(tuple(a), tuple(b))
-        c = qvector_to_coeffs(q, tol=0.0)
-        back = coeffs_to_qvector(c)
-        err = max(abs(x - y) for x, y in zip((*back.a, *back.b), (*q.a, *q.b)))
-        tally.check(err < 1e-12, err)
+    for count in _stack_sizes(100, 16):
+        qs = [QVector(tuple(a), tuple(b)) for a, b in rng.standard_normal((count, 2, 3))]
+        dense = [qvector_to_dense(q) for q in qs]
+        for q, d, t in zip(qs, dense, _decompose_stack(np.array(dense))):
+            c = qvector_to_coeffs(q, tol=0.0)
+            back = coeffs_to_qvector(c)
+            err = max(abs(x - y) for x, y in zip((*back.a, *back.b), (*q.a, *q.b)))
+            tally.check(err < 1e-12, err)
 
-        dense = qvector_to_dense(q)
-        tally.check(np.all(dense + dense.T == 0))
+            tally.check(np.all(d + d.T == 0))
 
-        cross = coeff_distance(decompose(dense, 0.0), c)
-        tally.check(cross < 1e-12, cross)
+            cross = coeff_distance(t, c)
+            tally.check(cross < 1e-12, cross)
     return f"round trip, exact antisymmetry, cross-path; worst error {tally.worst:.3e}"
 
 
@@ -238,8 +259,7 @@ def _suite_closed_classes(tally, rng) -> str:
     for support in (first_slot, second_slot):
         codes = _codes(support)
         allowed = set(codes.tolist())
-        for _ in range(100):
-            a, b = _random_pair(rng, codes)
+        for a, b in _random_pairs(rng, codes, 100):
             tally.check(set(compose(a, b, tol=0.0).codes.tolist()) <= allowed)
     # one antisymmetric-support pair escaping the six proves that class open
     escape = compose(_indicator((2, 0)), _indicator((2, 1)), tol=0.0)

@@ -9,10 +9,11 @@ checked and pruned the way CoefficientTensor does.  The kernel in
 Text files: the per-token readers and writers that ``pauligl.fileio``
 replaced with row and block chunks (see the section below).
 
-Transform: the per-axis ``tensordot`` + ``moveaxis`` pass that
-``pauligl.decomposition`` replaced with one matmul and transpose per factor,
-and the trace formula c(idx) = 2^-m * Tr(basis_element(idx) @ A) evaluated
-one index at a time.
+Transform: the per-axis ``tensordot`` + ``moveaxis`` pass, on one matrix,
+that ``pauligl.decomposition`` replaced with one matmul and transpose per
+factor over a stack of matrices (the matrix-to-tensor axis order is spelled
+here apart from the package's), and the trace formula
+c(idx) = 2^-m * Tr(basis_element(idx) @ A) evaluated one index at a time.
 
 Index maps: the scalar lexicographic maps, one digit at a time.
 
@@ -41,8 +42,7 @@ from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
                      FileFormatError, basis_element, compose, multi_product)
 from pauligl.composition import _gl4_product_array
 from pauligl.decomposition import (_FORWARD, _INVERSE, MAX_ORDER, _as_square,
-                                   _checked_tol, _coeff_matrix, _deinterleaved,
-                                   _interleaved, _order_of)
+                                   _checked_tol, _coeff_matrix, _order_of)
 from pauligl.symmetry import _check_antisym_gl4
 
 
@@ -182,6 +182,19 @@ def reference_parse_coefficients(text):
 
 # -- transform: one tensordot and moveaxis per tensor factor --
 
+def _ref_interleaved(matrix, m):
+    # (2^m, 2^m) -> (4,)*m with axis k the flattened (row_k, col_k) pair
+    t = matrix.reshape((2,) * (2 * m))
+    perm = [ax for k in range(m) for ax in (k, m + k)]
+    return t.transpose(perm).reshape((4,) * m)
+
+
+def _ref_deinterleaved(tensor, m):
+    t = tensor.reshape((2,) * (2 * m))
+    perm = [2 * k for k in range(m)] + [2 * k + 1 for k in range(m)]
+    return t.transpose(perm).reshape((2 ** m, 2 ** m))
+
+
 def _ref_apply_along_each_axis(tensor, mix, m):
     for k in range(m):
         tensor = np.moveaxis(np.tensordot(tensor, mix, axes=([k], [1])), -1, k)
@@ -191,14 +204,15 @@ def _ref_apply_along_each_axis(tensor, mix, m):
 def reference_coefficient_array(matrix):
     a = _as_square(matrix)
     m = _order_of(a.shape[0])
-    return _ref_apply_along_each_axis(_interleaved(a, m), _FORWARD, m)
+    return _ref_apply_along_each_axis(_ref_interleaved(a, m), _FORWARD, m)
 
 
 def reference_reconstruct(c):
     dense = np.zeros(4 ** c.m, dtype=complex)
     dense[c.codes] = c.values
     dense = dense.reshape((4,) * c.m)
-    return _deinterleaved(_ref_apply_along_each_axis(dense, _INVERSE, c.m), c.m)
+    return _ref_deinterleaved(_ref_apply_along_each_axis(dense, _INVERSE, c.m),
+                              c.m)
 
 
 def reference_decompose_via_traces(matrix, tol=DEFAULT_PRUNE_TOL):

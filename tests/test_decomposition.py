@@ -9,7 +9,9 @@ from pauligl import (CoefficientTensor, DimensionError, DomainError,
                      basis_element, coeff_distance, compose, decompose,
                      lex_local_from_global, pauli_matrix, reconstruct)
 from pauligl.decomposition import (MAX_DENSE_BYTES, MAX_ORDER, _coeff_matrix,
-                                   _kept, coefficient_array)
+                                   _coefficients, _decompose_stack, _kept,
+                                   _reconstruct_stack, _stack_sizes,
+                                   coefficient_array)
 
 NAN = float("nan")
 BIG = 1.7976931348623157e308
@@ -472,3 +474,87 @@ class TestTransformMatchesReference:
 
         # one (4,)*8 complex array is 1 MiB; the slack covers Python objects
         assert peak(transform) <= peak(oracle) + 2 ** 16
+
+
+def raised(f, *args):
+    """The message of the DomainError that f(*args) raises."""
+    with pytest.raises(DomainError) as info:
+        f(*args)
+    return str(info.value)
+
+
+class TestStackedTransforms:
+    """A stack through one transform gives each member the bits of its own call."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_corpus(self, rng, m):
+        corpus = transform_corpus(rng, m)
+        stack = np.array(list(corpus.values()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            flat = _coefficients(stack, m)
+        for row, a in zip(flat, stack):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert_same_bits(row.reshape((4,) * m), coefficient_array(a))
+
+        finite = [a for name, a in corpus.items() if name != "near_overflow"]
+        got = _decompose_stack(np.array(finite))
+        assert ([tensor_outcome(lambda: c) for c in got]
+                == [tensor_outcome(decompose, a, 0.0) for a in finite])
+        tensors = [dense_tensor(m, a) for a in finite]
+        for back, c in zip(_reconstruct_stack(tensors), tensors):
+            assert_same_bits(back, reconstruct(c))
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_a_bad_member_raises_as_alone(self, rng, m):
+        corpus = transform_corpus(rng, m)
+        # no finite matrix overflows the forward transform, whose outputs are
+        # halved sums; its sums overflow backwards
+        overflowing = dense_tensor(m, corpus.pop("near_overflow"))
+        infinite = corpus["random"].copy()
+        infinite[-1, 0] = float("inf")
+        for at in (0, len(corpus)):
+            members = list(corpus.values())
+            members.insert(at, infinite)
+            assert (raised(_decompose_stack, np.array(members))
+                    == raised(decompose, infinite, 0.0))
+            tensors = [dense_tensor(m, a) for a in corpus.values()]
+            tensors.insert(at, overflowing)
+            assert (raised(_reconstruct_stack, tensors)
+                    == raised(reconstruct, overflowing))
+
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda mc: st.lists(st.builds(complex, edge_floats, edge_floats),
+                            min_size=mc[1] * 4 ** mc[0],
+                            max_size=mc[1] * 4 ** mc[0]).map(
+            lambda v: np.array(v).reshape(mc[1], 2 ** mc[0], 2 ** mc[0]))))
+    def test_any_finite_members(self, stack):
+        # signed zeros, subnormals and the largest floats, whose sums overflow
+        # when reconstructed
+        m = stack.shape[-1].bit_length() - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            flat = _coefficients(stack, m)
+            for row, a in zip(flat, stack):
+                assert_same_bits(row.reshape((4,) * m), coefficient_array(a))
+        assert ([tensor_outcome(lambda: c) for c in _decompose_stack(stack)]
+                == [tensor_outcome(decompose, a, 0.0) for a in stack])
+        tensors = [dense_tensor(m, a) for a in stack]
+        alone = []
+        for c in tensors:
+            try:
+                alone.append(reconstruct(c))
+            except DomainError as exc:
+                alone.append(str(exc))
+        messages = [a for a in alone if isinstance(a, str)]
+        if messages:
+            assert raised(_reconstruct_stack, tensors) == messages[0]
+        else:
+            for back, want in zip(_reconstruct_stack(tensors), alone):
+                assert_same_bits(back, want)
+
+
+def test_stack_sizes():
+    assert _stack_sizes(100, 4 ** 5) == [4] * 25
+    assert _stack_sizes(50, 2 * 4 ** 3) == [32, 18]
+    assert _stack_sizes(100, 4 ** 2) == [100]
+    assert _stack_sizes(3, 2 ** 20) == [1, 1, 1]
+    assert _stack_sizes(0, 16) == []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import re
 from typing import Callable, NamedTuple
 from unittest import mock
 
@@ -30,6 +31,7 @@ _block_local_from_global = indexing.block_local_from_global
 _random_matrices = verify._random_matrices
 _row_blocks = composition._row_blocks
 _tally_check = verify._Tally.check
+_from_dense = decomposition.CoefficientTensor._from_dense.__func__
 
 
 def _modulus(values):
@@ -66,9 +68,17 @@ def row_cut_exclusive(i, j, cuts):
 
 
 def unpruned_from_dense(cls, m, flat, tol):
-    out = cls.__new__(cls)
-    out.m, out.codes, out.values = m, np.arange(flat.size, dtype=np.uint64), flat.copy()
+    out = []
+    for row in flat:
+        tensor = cls.__new__(cls)
+        tensor.m, tensor.codes = m, np.arange(row.size, dtype=np.uint64)
+        tensor.values = row.copy()
+        out.append(tensor)
     return out
+
+
+def built_last_first(cls, m, flat, tol):
+    return _from_dense(cls, m, flat, tol)[::-1]
 
 
 def parts_swapped(rng, n, count):
@@ -134,6 +144,10 @@ MUTANTS = [
            ((decomposition.CoefficientTensor, "_from_dense",
              classmethod(unpruned_from_dense)),),
            frozenset({"closed-form"})),
+    Mutant("the stacked builder returns its tensors last-first",
+           ((decomposition.CoefficientTensor, "_from_dense",
+             classmethod(built_last_first)),),
+           frozenset({"round-trip", "homomorphism", "closed-form", "q-vector"})),
     Mutant("random matrix draw swaps real and imaginary parts",
            ((verify, "_random_matrices", parts_swapped),),
            frozenset(),
@@ -180,3 +194,14 @@ def test_verify_fails_the_named_suites(mutant):
 def test_a_survivor_fails_its_named_test(mutant):
     with applied(mutant), pytest.raises(AssertionError):
         mutant.test()
+
+
+def test_orthogonality_detail_counts_the_failed_products():
+    # the six anticommuting generator products change sign under swapped
+    # operands; they are the suite's only failed checks
+    swapped, = (m for m in MUTANTS if m.name == "code_product swaps its operands")
+    with applied(swapped):
+        suite, = (s for s in run_verification(0).suites if s.name == "orthogonality")
+    products = int(re.search(r"products (\d+)/16", suite.detail).group(1))
+    assert products < 16
+    assert 16 - products == suite.total - suite.passed

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pauligl import ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor, composition, verify
+from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor, composition,
+                     decomposition, verify)
 from pauligl.cli import dispatch
-from pauligl.verify import _codes, _indicator, _random_pair, run_verification
+from pauligl.verify import _codes, _indicator, _random_pairs, run_verification
 
 from conftest import edge_floats, tensor_outcome
 
@@ -30,6 +31,14 @@ def test_suite_counts(seed):
     for want in COUNTS:
         assert any(line.startswith(want) for line in lines), want
     assert report.ok and lines[-1] == "overall: PASS"
+
+
+@pytest.mark.parametrize("seed", [0, 42, 7])
+def test_stack_size_cannot_change_the_report(seed, monkeypatch):
+    # one sample per stack is the per-sample loop the stacks replaced
+    default = run_verification(seed).render()
+    monkeypatch.setattr(decomposition, "_STACK_ENTRIES", 1)
+    assert run_verification(seed).render() == default
 
 
 SUITES = ["round-trip", "homomorphism", "orthogonality", "transpose",
@@ -105,12 +114,15 @@ SUPPORTS = {
 
 @pytest.mark.parametrize("name", SUPPORTS)
 def test_random_tensor_matches_dict_build(name):
-    # the same generator stream as one scalar draw per real and imaginary part
+    # the same generator stream as one scalar draw per real and imaginary
+    # part, however many pairs one call draws
     support = sorted(SUPPORTS[name])
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            for got in _random_pair(rng, _codes(support)):
+        pairs = [p for count in (1, 3, 2)
+                 for p in _random_pairs(rng, _codes(support), count)]
+        for pair in pairs:
+            for got in pair:
                 want = tensor_outcome(CoefficientTensor, 2, {
                     i: complex(ref_rng.standard_normal(), ref_rng.standard_normal())
                     for i in support}, tol=0.0)
@@ -147,7 +159,7 @@ def test_dense_pair_matches_dict_build(values):
     A = np.array(values).reshape(4, 4)
     want = tensor_outcome(CoefficientTensor, 2, {
         (p, q): A[p, q] for p in range(4) for q in range(4)}, tol=0.0)
-    assert tensor_outcome(CoefficientTensor._from_dense, 2,
-                          A.reshape(-1), 0.0) == want
+    assert tensor_outcome(lambda: CoefficientTensor._from_dense(
+        2, A.reshape(1, -1), 0.0)[0]) == want
     assert tensor_outcome(CoefficientTensor._from_codes, 2,
                           np.arange(16, dtype=np.uint64), A.reshape(-1), 0.0) == want
