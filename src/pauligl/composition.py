@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import EPSILON, Phase, code_product, distinct_codes
 from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor, _checked_tol,
-                            _coeff_matrix, _stack_sizes)
+                            _coeff_matrix, _matrix_stacks)
 from .errors import DimensionError, DomainError
 from .symmetry import (ANTISYMMETRIC_GL4_SUPPORT, _ANTISYM_GL4_CODES,
                        _check_antisym_gl4)
@@ -328,12 +328,10 @@ def verify_closed_forms(rng: np.random.Generator | None = None,
         rng = np.random.default_rng(0)
 
     worst = np.zeros((4, 4))
-    for count in _stack_sizes(pairs, 32):
-        # one draw: per pair, A's real and imaginary parts, then B's
-        parts = rng.standard_normal((count, 2, 2, 4, 4))
-        dense = parts[:, :, 0] + 1j * parts[:, :, 1]
-        tensors = CoefficientTensor._from_dense(2, dense.reshape(2 * count, 16), 0.0)
-        for (A, B), a, b in zip(dense, tensors[0::2], tensors[1::2]):
+    # per pair, A and then B
+    for dense in _matrix_stacks(rng, 4, pairs, per=2):
+        tensors = CoefficientTensor._from_dense(2, dense.reshape(-1, 16), 0.0)
+        for A, B, a, b in zip(dense[0::2], dense[1::2], tensors[0::2], tensors[1::2]):
             d = _gl4_product_array(A, B) - _coeff_matrix(compose(a, b, 0.0))
             # np.hypot is abs() of a Python complex, bit for bit
             np.maximum(worst, np.hypot(d.real, d.imag), out=worst)

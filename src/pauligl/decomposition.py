@@ -233,25 +233,30 @@ def _mixing_matrices() -> tuple[np.ndarray, np.ndarray]:
 _FORWARD, _INVERSE = _mixing_matrices()
 
 
-#: Most complex entries one stacked transform is given; a caller with more
-#: samples splits them with ``_stack_sizes``, so its scratch memory stays
-#: flat whatever the sample count.
+#: Most complex entries one stacked transform is given; ``_matrix_stacks``
+#: splits a caller's samples into stacks of this size, so its scratch memory
+#: stays flat whatever the sample count.
 _STACK_ENTRIES = 1 << 12
 
 
-def _stack_sizes(count: int, entries: int) -> list:
-    """Sizes of the stacks that count samples of ``entries`` complex entries
-    each are split into: as many samples as fit in _STACK_ENTRIES, at least one."""
-    step = max(1, _STACK_ENTRIES // entries)
-    return [min(step, count - start) for start in range(0, count, step)]
+def _matrix_stacks(rng, n: int, count: int, per: int = 1):
+    """Yield count samples of per complex n x n matrices, as (k * per, n, n)
+    stacks of whole samples, each within _STACK_ENTRIES entries (at least one
+    sample).  The stream is that of two standard_normal((n, n)) calls per
+    matrix: its real part, then its imaginary part."""
+    step = max(1, _STACK_ENTRIES // (per * n * n))
+    for start in range(0, count, step):
+        parts = rng.standard_normal((per * min(step, count - start), 2, n, n))
+        stack = parts[:, 0] + 1j * parts[:, 1]
+        del parts  # not held while the caller works on the stack
+        yield stack
 
 
 def _interleaved(stack: np.ndarray, m: int) -> np.ndarray:
-    # (B, 2^m, 2^m) -> (4,)*m + (B,), axis k the flattened (row_k, col_k)
-    # pair and the stack axis last; a view, copied by _transform's reshape
+    # (B, 2^m, 2^m) -> (B,) + (4,)*m, axis 1 + k the flattened (row_k, col_k)
+    # pair; a view, copied by _transform's reshape
     t = stack.reshape((len(stack),) + (2,) * (2 * m))
-    perm = [1 + ax for k in range(m) for ax in (k, m + k)]
-    return t.transpose(perm + [0])
+    return t.transpose([0] + [1 + ax for k in range(m) for ax in (k, m + k)])
 
 
 def _deinterleaved(flat: np.ndarray, m: int) -> np.ndarray:
@@ -262,16 +267,19 @@ def _deinterleaved(flat: np.ndarray, m: int) -> np.ndarray:
 
 
 def _transform(t: np.ndarray, mix: np.ndarray, m: int) -> np.ndarray:
-    """Mix every tensor factor of a stack held as (4,)*m + (B,) in C order;
-    returns the (B, 4**m) result, one row per stacked tensor."""
-    # Each pass mixes the leading axis and moves it to the back: t.T @ mix.T
-    # is (mix @ t).T, written C-contiguous, so the reshape is a view.  After m
-    # passes every factor axis has been mixed once, in order, and the stack
-    # axis leads.
-    t = t.reshape(4, -1)
-    for _ in range(m):
-        t = (t.T @ mix.T).reshape(4, -1)
-    return t.reshape(-1, 4 ** m)
+    """Mix every tensor factor of a stack held as (B,) + (4,)*m in C order;
+    returns the (B, 4**m) result, one row per stacked tensor.  A sum past the
+    largest float is inf (or nan) and is left for the caller to judge."""
+    # Each pass mixes every member's leading factor axis and moves it to the
+    # back: t.T @ mix.T is (mix @ t).T, written C-contiguous, so the reshape is
+    # a view.  numpy runs one matrix product per member, the one a one-matrix
+    # call runs, so each member gets the bits of its own call.  After m passes
+    # every factor axis has been mixed once, in order.
+    t = t.reshape(len(t), 4, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(m):
+            t = (t.transpose(0, 2, 1) @ mix.T).reshape(len(t), 4, -1)
+    return t.reshape(len(t), 4 ** m)
 
 
 def _coefficients(stack: np.ndarray, m: int) -> np.ndarray:
@@ -280,7 +288,8 @@ def _coefficients(stack: np.ndarray, m: int) -> np.ndarray:
 
 
 def coefficient_array(matrix) -> np.ndarray:
-    """Dense (4,)*m array of all basis coefficients of a 2^m x 2^m matrix."""
+    """Dense (4,)*m array of all basis coefficients of a 2^m x 2^m matrix;
+    a non-finite entry gives non-finite coefficients, without a warning."""
     a = _as_square(matrix)
     m = _order_of(a.shape[0])
     return _coefficients(a[None], m).reshape((4,) * m)
@@ -294,8 +303,7 @@ def decompose(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
     coefficient (from a non-finite or overflowing entry) raises DomainError.
     """
     _checked_tol(tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = coefficient_array(matrix)
+    c = coefficient_array(matrix)
     return CoefficientTensor._from_dense(c.ndim, c.reshape(1, -1), tol)[0]
 
 
@@ -303,9 +311,7 @@ def _decompose_stack(stack: np.ndarray) -> list:
     """``decompose(a, 0.0)`` of each matrix a of a complex (B, 2^m, 2^m)
     stack, m >= 1, through one transform."""
     m = stack.shape[-1].bit_length() - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        flat = _coefficients(stack, m)
-    return CoefficientTensor._from_dense(m, flat, 0.0)
+    return CoefficientTensor._from_dense(m, _coefficients(stack, m), 0.0)
 
 
 def reconstruct(c: CoefficientTensor) -> np.ndarray:
@@ -325,10 +331,7 @@ def _reconstruct_stack(tensors: list) -> np.ndarray:
     dense = np.zeros((len(tensors), 4 ** m), dtype=complex)
     for row, c in zip(dense, tensors):
         row[c.codes] = c.values
-    # a sum past the largest float is inf (or nan), which is rejected below;
-    # numpy's warning would only echo that to stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        dense = _transform(dense.T, _INVERSE, m)
+    dense = _transform(dense, _INVERSE, m)
     if not np.isfinite(dense).all():
         raise DomainError("non-finite matrix entry: a sum of coefficients "
                           "overflows")

@@ -19,8 +19,8 @@ import numpy as np
 
 from .algebra import basis_element, pack_index, pauli_matrix, single_product
 from .composition import ClosedFormReport, compose, compose_antisym_gl4, verify_closed_forms
-from .decomposition import (CoefficientTensor, _decompose_stack, _reconstruct_stack,
-                            _stack_sizes, coeff_distance)
+from .decomposition import (CoefficientTensor, _decompose_stack, _matrix_stacks,
+                            _reconstruct_stack, coeff_distance)
 from .indexing import (BlockCuts, block_global_from_local, block_local_from_global,
                        lex_global_from_local, lex_local_from_global)
 from .symmetry import (_ANTISYM_GL4_CODES, ANTISYMMETRIC_GL4_SUPPORT, QVector,
@@ -65,13 +65,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _random_matrices(rng, n: int, count: int) -> np.ndarray:
-    """count complex n x n matrices from one draw, on the stream of two
-    standard_normal((n, n)) calls per matrix: its real part, then imaginary."""
-    parts = rng.standard_normal((count, 2, n, n))
-    return parts[:, 0] + 1j * parts[:, 1]
-
-
 class _Tally:
     """One suite's checks: how many passed, how many ran, the worst error."""
 
@@ -90,20 +83,18 @@ class _Tally:
 def _suite_round_trip(tally, rng) -> str:
     for m in range(1, 6):
         n = 2 ** m
-        for count in _stack_sizes(100, n * n):
-            a = _random_matrices(rng, n, count)
+        for a in _matrix_stacks(rng, n, 100):
             back = _reconstruct_stack(_decompose_stack(a))
             err = np.abs(back - a).max(axis=(1, 2))
-            tally.check(np.count_nonzero(err < 1e-12 * n), float(err.max()), count)
+            tally.check(np.count_nonzero(err < 1e-12 * n), float(err.max()), len(a))
     return f"worst error {tally.worst:.3e}, bound 1e-12*side"
 
 
 def _suite_homomorphism(tally, rng) -> str:
     for m in range(1, 4):
         n = 2 ** m
-        for count in _stack_sizes(50, 2 * n * n):
-            # each pair is drawn a then b
-            dense = _random_matrices(rng, n, 2 * count)
+        # each pair is drawn a then b
+        for dense in _matrix_stacks(rng, n, 50, per=2):
             factors = _decompose_stack(dense)
             products = _decompose_stack(_pair_products(dense))
             for a, b, ab in zip(factors[0::2], factors[1::2], products):
@@ -134,13 +125,13 @@ def _suite_orthogonality(tally) -> str:
 def _suite_transpose(tally, rng) -> str:
     for m in range(1, 5):
         n = 2 ** m
-        for count in _stack_sizes(25, 2 * n * n):
-            a = _random_matrices(rng, n, count)
-            tensors = _decompose_stack(np.concatenate([a, a.transpose(0, 2, 1)]))
-            for c, ct in zip(tensors[:count], tensors[count:]):
-                err = coeff_distance(transpose_coeffs(c), ct)
+        for a in _matrix_stacks(rng, n, 25):
+            for c, ct in zip(_decompose_stack(a),
+                             _decompose_stack(a.transpose(0, 2, 1))):
+                t = transpose_coeffs(c)
+                err = coeff_distance(t, ct)
                 tally.check(err < 1e-12, err)
-                tally.check(transpose_coeffs(transpose_coeffs(c)) == c)
+                tally.check(transpose_coeffs(t) == c)
     return f"worst error {tally.worst:.3e}, bound 1e-12; involution exact"
 
 
@@ -227,29 +218,27 @@ def _suite_closed_form(tally, rng, ledger: list) -> str:
     pairs = list(itertools.product(basis, repeat=2))
     for (a, b), want in zip(pairs, _dense_route(pairs)):
         tally.check(compose_antisym_gl4(a, b, tol=0.0) == want)
-    for count in _stack_sizes(50, 32):
-        pairs = _random_pairs(rng, _ANTISYM_GL4_CODES, count)
-        for (a, b), want in zip(pairs, _dense_route(pairs)):
-            err = coeff_distance(compose_antisym_gl4(a, b, tol=0.0), want)
-            tally.check(err <= 1e-12, err)
+    pairs = _random_pairs(rng, _ANTISYM_GL4_CODES, 50)
+    for (a, b), want in zip(pairs, _dense_route(pairs)):
+        err = coeff_distance(compose_antisym_gl4(a, b, tol=0.0), want)
+        tally.check(err <= 1e-12, err)
     return (f"families 4, exhaustive antisym pairs 36, random antisym pairs 50 "
             f"(worst error {tally.worst:.3e})")
 
 
 def _suite_qvector(tally, rng) -> str:
-    for count in _stack_sizes(100, 16):
-        qs = [QVector(tuple(a), tuple(b)) for a, b in rng.standard_normal((count, 2, 3))]
-        dense = [qvector_to_dense(q) for q in qs]
-        for q, d, t in zip(qs, dense, _decompose_stack(np.array(dense))):
-            c = qvector_to_coeffs(q, tol=0.0)
-            back = coeffs_to_qvector(c)
-            err = max(abs(x - y) for x, y in zip((*back.a, *back.b), (*q.a, *q.b)))
-            tally.check(err < 1e-12, err)
+    qs = [QVector(tuple(a), tuple(b)) for a, b in rng.standard_normal((100, 2, 3))]
+    dense = [qvector_to_dense(q) for q in qs]
+    for q, d, t in zip(qs, dense, _decompose_stack(np.array(dense))):
+        c = qvector_to_coeffs(q, tol=0.0)
+        back = coeffs_to_qvector(c)
+        err = max(abs(x - y) for x, y in zip((*back.a, *back.b), (*q.a, *q.b)))
+        tally.check(err < 1e-12, err)
 
-            tally.check(np.all(d + d.T == 0))
+        tally.check(np.all(d + d.T == 0))
 
-            cross = coeff_distance(t, c)
-            tally.check(cross < 1e-12, cross)
+        cross = coeff_distance(t, c)
+        tally.check(cross < 1e-12, cross)
     return f"round trip, exact antisymmetry, cross-path; worst error {tally.worst:.3e}"
 
 

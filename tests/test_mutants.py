@@ -28,7 +28,7 @@ _antisymmetric_mask = symmetry.antisymmetric_mask
 _distinct_codes = algebra.distinct_codes
 _qvector_to_dense = symmetry.qvector_to_dense
 _block_local_from_global = indexing.block_local_from_global
-_random_matrices = verify._random_matrices
+_matrix_stacks = decomposition._matrix_stacks
 _row_blocks = composition._row_blocks
 _tally_check = verify._Tally.check
 _from_dense = decomposition.CoefficientTensor._from_dense.__func__
@@ -81,9 +81,9 @@ def built_last_first(cls, m, flat, tol):
     return _from_dense(cls, m, flat, tol)[::-1]
 
 
-def parts_swapped(rng, n, count):
-    a = _random_matrices(rng, n, count)
-    return a.imag + 1j * a.real
+def parts_swapped(rng, n, count, per=1):
+    for a in _matrix_stacks(rng, n, count, per):
+        yield a.imag + 1j * a.real
 
 
 def blocks_last_first(a, b):
@@ -149,7 +149,9 @@ MUTANTS = [
              classmethod(built_last_first)),),
            frozenset({"round-trip", "homomorphism", "closed-form", "q-vector"})),
     Mutant("random matrix draw swaps real and imaginary parts",
-           ((verify, "_random_matrices", parts_swapped),),
+           ((decomposition, "_matrix_stacks", parts_swapped),
+            (verify, "_matrix_stacks", parts_swapped),
+            (composition, "_matrix_stacks", parts_swapped)),
            frozenset(),
            test_verify.test_random_matrices_match_two_call_stream),
     Mutant("_PHASE_IM negated: compose conjugates its phases",

@@ -131,14 +131,14 @@ def test_random_tensor_matches_dict_build(name):
 
 
 def test_random_matrices_match_two_call_stream():
-    # one draw per matrix (or pair) is the stream of two standard_normal
-    # calls per matrix, real part first, bit for bit; verify's suites cannot
-    # see a draw that swaps the parts, so this test is what catches it
+    # one draw per stack is the stream of two standard_normal calls per
+    # matrix, real part first, bit for bit; verify's suites cannot see a draw
+    # that swaps the parts, so this test is what catches it
     for seed in range(200):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for n, count in ((2, 1), (4, 2), (8, 1), (3, 2)):
-            got = verify._random_matrices(rng, n, count)
-            assert got.shape == (count, n, n)
+        for n, count, per in ((2, 1, 1), (4, 2, 2), (8, 1, 1), (3, 2, 1), (32, 5, 1)):
+            got = np.concatenate(list(verify._matrix_stacks(rng, n, count, per)))
+            assert got.shape == (count * per, n, n)
             for a in got:
                 want = (ref_rng.standard_normal((n, n))
                         + 1j * ref_rng.standard_normal((n, n)))
