@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import EPSILON, Phase, code_product, distinct_codes
+from .algebra import EPSILON, Phase, _checked_integer, code_product, distinct_codes
 from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor, _checked_tol,
                             _coeff_matrix, _matrix_stacks)
 from .errors import DimensionError, DomainError
@@ -238,7 +238,7 @@ _SCALAR_TEXT = {1 + 0j: ("+", ""), -1 + 0j: ("-", ""),
 def _render_terms(terms) -> str:
     parts = []
     for s, t, scalar in terms:
-        sign, mag = _SCALAR_TEXT.get(complex(scalar), ("+", f"({scalar})*"))
+        sign, mag = _SCALAR_TEXT[complex(scalar)]
         body = f"{mag}A{s[0]}{s[1]}*B{t[0]}{t[1]}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
@@ -248,11 +248,7 @@ def _render_terms(terms) -> str:
 
 
 def _term_map(terms) -> dict:
-    out: dict[tuple, complex] = {}
-    for s, t, scalar in terms:
-        key = (s, t)
-        out[key] = out.get(key, 0j) + complex(scalar)
-    return {k: v for k, v in out.items() if v != 0}
+    return {(s, t): complex(scalar) for s, t, scalar in terms}
 
 
 @dataclass(frozen=True)
@@ -322,6 +318,7 @@ def verify_closed_forms(rng: np.random.Generator | None = None,
     report content, not exceptions: they document the tabulated formulas,
     not this implementation.
     """
+    pairs = _checked_integer(pairs, "pair count")
     if pairs < 1:
         raise DomainError(f"need at least one random pair, got {pairs}")
     if rng is None:

@@ -66,18 +66,24 @@ class VerificationReport:
 
 
 class _Tally:
-    """One suite's checks: how many passed, how many ran, the worst error."""
+    """One suite's checks: how many passed and how many ran in each named
+    part, in the order each part is first checked, and the worst error."""
 
     def __init__(self):
-        self.passed = self.total = 0
+        self.parts = {}
         self.worst = 0.0
 
-    def check(self, ok, error=None, count=1) -> None:
-        """Record one check, or ``count`` checks of which ``ok`` passed."""
-        self.passed += int(ok)
-        self.total += count
+    def check(self, ok, error=None, count=1, part=None) -> None:
+        """Record one check, or ``count`` checks of which ``ok`` passed, in ``part``."""
+        counts = self.parts.setdefault(part, [0, 0])
+        counts[0] += int(ok)
+        counts[1] += count
         if error is not None:
             self.worst = max(self.worst, error)
+
+    def part_counts(self) -> str:
+        """Each part's name and passed count, comma-separated."""
+        return ", ".join(f"{part} {passed}" for part, (passed, _) in self.parts.items())
 
 
 def _suite_round_trip(tally, rng) -> str:
@@ -96,7 +102,7 @@ def _suite_homomorphism(tally, rng) -> str:
         # each pair is drawn a then b
         for dense in _matrix_stacks(rng, n, 50, per=2):
             factors = _decompose_stack(dense)
-            products = _decompose_stack(_pair_products(dense))
+            products = _decompose_stack(dense[0::2] @ dense[1::2])
             for a, b, ab in zip(factors[0::2], factors[1::2], products):
                 err = coeff_distance(compose(a, b, tol=0.0), ab)
                 tally.check(err < 1e-10, err)
@@ -108,18 +114,18 @@ def _suite_orthogonality(tally) -> str:
         for nu in range(4):
             phase, lam = single_product(mu, nu)
             expected = phase.to_complex() * pauli_matrix(lam[0])
-            tally.check(np.array_equal(pauli_matrix(mu) @ pauli_matrix(nu), expected))
-    products = tally.passed
-    per_m = []
+            tally.check(np.array_equal(pauli_matrix(mu) @ pauli_matrix(nu), expected),
+                        part="products")
     for m in range(1, 4):
         dense = np.array([basis_element(idx)
                           for idx in itertools.product(range(4), repeat=m)])
         # every Tr(a @ b) at once; entries are 0, +-1, +-i, so sums are exact
         traces = np.einsum("aij,bji->ab", dense, dense)
-        count = int(np.count_nonzero(traces == 2 ** m * np.eye(len(dense))))
-        tally.check(count, count=traces.size)
-        per_m.append(f"m={m} {count}/{traces.size}")
-    return f"exact; products {products}/16, traces " + ", ".join(per_m)
+        tally.check(np.count_nonzero(traces == 2 ** m * np.eye(len(dense))),
+                    count=traces.size, part=f"m={m}")
+    products, *traces = (f"{part} {passed}/{total}"
+                         for part, (passed, total) in tally.parts.items())
+    return f"exact; {products}, traces " + ", ".join(traces)
 
 
 def _suite_transpose(tally, rng) -> str:
@@ -152,8 +158,7 @@ def _suite_bijection(tally) -> str:
     for shape in _factor_shapes(64):
         g = np.arange(math.prod(shape))
         back = lex_global_from_local(lex_local_from_global(g, shape), shape)
-        tally.check(np.count_nonzero(back == g), count=len(g))
-    lex = tally.passed
+        tally.check(np.count_nonzero(back == g), count=len(g), part="lex")
     for n in range(2, 9):
         i, j = np.divmod(np.arange(n * n), n)
         for rc in range(1, n):
@@ -161,8 +166,8 @@ def _suite_bijection(tally) -> str:
                 cuts = BlockCuts(n, rc, cc)
                 bi, bj = block_global_from_local(
                     block_local_from_global(i, j, cuts), cuts)
-                tally.check(np.count_nonzero((bi == i) & (bj == j)), count=n * n)
-    block = tally.passed - lex
+                tally.check(np.count_nonzero((bi == i) & (bj == j)), count=n * n,
+                            part="block")
     for m in range(1, 4):
         # entry (i, j) is the product over k of factor k's entry at the
         # k-th digits of i and j
@@ -172,9 +177,9 @@ def _suite_bijection(tally) -> str:
             prod = np.ones((2 ** m, 2 ** m), dtype=complex)
             for k, mu in enumerate(idx):
                 prod *= pauli_matrix(mu)[rows[k], cols[k]]
-            tally.check(np.array_equal(basis_element(idx), prod))
-    kron = tally.passed - lex - block
-    return f"lex {lex}, block {block}, kron factorization {kron}; all exact"
+            tally.check(np.array_equal(basis_element(idx), prod),
+                        part="kron factorization")
+    return f"{tally.part_counts()}; all exact"
 
 
 def _codes(support) -> np.ndarray:
@@ -195,35 +200,29 @@ def _random_pairs(rng, codes: np.ndarray, count: int) -> list:
             for pair in values]
 
 
-def _pair_products(stack: np.ndarray) -> np.ndarray:
-    """x @ y of each pair (x, y) of consecutive matrices, one pair at a time."""
-    # a stacked matmul may take another BLAS path, with other rounding
-    return np.array([x @ y for x, y in zip(stack[0::2], stack[1::2])])
-
-
 def _dense_route(pairs) -> list:
     """decompose(reconstruct(a) @ reconstruct(b), 0.0) of each pair (a, b),
     with one stacked transform each way."""
     dense = _reconstruct_stack([c for pair in pairs for c in pair])
-    return _decompose_stack(_pair_products(dense))
+    return _decompose_stack(dense[0::2] @ dense[1::2])
 
 
 def _suite_closed_form(tally, rng, ledger: list) -> str:
     report = verify_closed_forms(rng, pairs=100)
     ledger.append(report)
     for fam in report.families:
-        tally.check(fam.confirmed)
+        tally.check(fam.confirmed, part="families")
     # against the dense route, which shares no code with the compose kernel
     basis = [_indicator(s) for s in sorted(ANTISYMMETRIC_GL4_SUPPORT)]
     pairs = list(itertools.product(basis, repeat=2))
     for (a, b), want in zip(pairs, _dense_route(pairs)):
-        tally.check(compose_antisym_gl4(a, b, tol=0.0) == want)
+        tally.check(compose_antisym_gl4(a, b, tol=0.0) == want,
+                    part="exhaustive antisym pairs")
     pairs = _random_pairs(rng, _ANTISYM_GL4_CODES, 50)
     for (a, b), want in zip(pairs, _dense_route(pairs)):
         err = coeff_distance(compose_antisym_gl4(a, b, tol=0.0), want)
-        tally.check(err <= 1e-12, err)
-    return (f"families 4, exhaustive antisym pairs 36, random antisym pairs 50 "
-            f"(worst error {tally.worst:.3e})")
+        tally.check(err <= 1e-12, err, part="random antisym pairs")
+    return f"{tally.part_counts()} (worst error {tally.worst:.3e})"
 
 
 def _suite_qvector(tally, rng) -> str:
@@ -264,7 +263,8 @@ def _run(name: str, suite, *args) -> SuiteResult:
         detail = suite(tally, *args)
     except Exception as exc:  # a fault in the checked code fails its suite
         return SuiteResult(name, 0, 1, f"raised {type(exc).__name__}: {exc}")
-    return SuiteResult(name, tally.passed, tally.total, detail)
+    passed, total = map(sum, zip([0, 0], *tally.parts.values()))
+    return SuiteResult(name, passed, total, detail)
 
 
 def run_verification(seed: int = 0) -> VerificationReport:

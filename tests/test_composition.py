@@ -556,6 +556,30 @@ class TestVerifyClosedForms:
         with pytest.raises(DomainError):
             verify_closed_forms(np.random.default_rng(0), pairs)
 
+    @pytest.mark.parametrize("pairs, count", [(np.float64(3.0), 3), (True, 1)])
+    def test_integral_pair_count(self, pairs, count):
+        # read by the package's integer rule, and printed as that integer
+        got = verify_closed_forms(np.random.default_rng(0), pairs)
+        assert got == verify_closed_forms(np.random.default_rng(0), count)
+        assert all(type(f.pairs) is int for f in got.families)
+        assert f"over {count} random pairs" in got.render()
+
+    @pytest.mark.parametrize("pairs", [2.5, "3"])
+    def test_non_integral_pair_count(self, pairs):
+        with pytest.raises(DomainError, match="pair count must be an integer"):
+            verify_closed_forms(np.random.default_rng(0), pairs)
+
+    @pytest.mark.parametrize("table", [TABULATED_ANTISYM_COMPONENTS,
+                                       composition._DERIVED_ANTISYM_TABLE],
+                             ids=["tabulated", "derived"])
+    def test_tables_hold_only_what_the_ledger_reads(self, table):
+        # _term_map keeps one scalar per input pair and drops none, and
+        # _render_terms spells only +-1 and +-i (so no scalar is zero)
+        for terms in table.values():
+            pairs = [(s, t) for s, t, _ in terms]
+            assert len(set(pairs)) == len(pairs)
+            assert all(complex(x) in composition._SCALAR_TEXT for _, _, x in terms)
+
     def test_sixteen_components_reported(self, report):
         assert len(report.components) == 16
         assert {c.index for c in report.components} == set(

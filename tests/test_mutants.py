@@ -90,8 +90,8 @@ def blocks_last_first(a, b):
     return _row_blocks(a, b)[::-1]
 
 
-def failed_counted_as_passed(self, ok, error=None, count=1):
-    _tally_check(self, count, error, count)
+def failed_counted_as_passed(self, ok, error=None, count=1, part=None):
+    _tally_check(self, count, error, count, part)
 
 
 def kept_at_tol(values, tol):
@@ -207,3 +207,15 @@ def test_orthogonality_detail_counts_the_failed_products():
     products = int(re.search(r"products (\d+)/16", suite.detail).group(1))
     assert products < 16
     assert 16 - products == suite.total - suite.passed
+
+
+def test_closed_form_detail_counts_only_what_passed():
+    # under conjugated phases only the 00 family, the 24 exhaustive pairs
+    # whose product phase is real, and no random pair agree
+    conjugated, = (m for m in MUTANTS if m.name.startswith("_PHASE_IM negated"))
+    with applied(conjugated):
+        lines = run_verification(0).render().splitlines()
+    line, = (line for line in lines if line.startswith("suite closed-form: "))
+    assert re.fullmatch(
+        r"suite closed-form: FAIL 25/90 \(families 1, exhaustive antisym pairs 24, "
+        r"random antisym pairs 0 \(worst error \d\.\d{3}e[+-]\d\d\)\)", line), line

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor, composition,
-                     decomposition, verify)
+                     decomposition, symmetry, verify)
 from pauligl.cli import dispatch
 from pauligl.verify import _codes, _indicator, _random_pairs, run_verification
 
@@ -144,6 +145,27 @@ def test_random_matrices_match_two_call_stream():
                         + 1j * ref_rng.standard_normal((n, n)))
                 assert a.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_stacked_pair_products_match_per_pair():
+    # verify forms each pair's dense product x @ y in one stacked @; numpy
+    # makes one product per member, of the shape a lone call makes, so the
+    # bits must be those of one 2-D @ per pair, whatever the BLAS kernel
+    rngs = [np.random.default_rng(seed) for seed in range(10)]
+    # the homomorphism suite's stacks, a then b
+    stacks = [dense for rng in rngs for n in (2, 4, 8)
+              for dense in verify._matrix_stacks(rng, n, 50, per=2)]
+    # the closed-form suite's dense route: the 36 exhaustive antisymmetric
+    # pairs, and random antisymmetric pairs
+    basis = [_indicator(s) for s in sorted(ANTISYMMETRIC_GL4_SUPPORT)]
+    routes = [list(itertools.product(basis, repeat=2))]
+    routes += [_random_pairs(rng, symmetry._ANTISYM_GL4_CODES, 50) for rng in rngs]
+    stacks += [decomposition._reconstruct_stack([c for pair in pairs for c in pair])
+               for pairs in routes]
+    for s in stacks:
+        got = s[0::2] @ s[1::2]
+        want = np.array([x @ y for x, y in zip(s[0::2], s[1::2])])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_indicator_matches_dict_build():
