@@ -94,6 +94,9 @@ _GENERATORS = (
 
 
 def _checked_integer(value, what: str) -> int:
+    # int() refuses NaN and +-inf with its own ValueError and OverflowError
+    if isinstance(value, (float, np.floating)) and not np.isfinite(value):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
     integer = int(value)
     # int() truncates 2.9 and parses "1"; neither is an integer
     if integer != value:

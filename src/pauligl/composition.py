@@ -4,7 +4,9 @@ The product of two basis elements is a single phased basis element, so the
 product of two coefficient tensors is a bilinear combination over stored
 pairs.  ``compose`` is that general path for any tensor order; it works on
 the packed codes of ``pauligl.algebra`` and takes the product index and
-phase of each term pair from ``code_product``.
+phase of each term pair from ``code_product``.  Its kernel takes a stack of
+pairs of one order, which ``verify`` passes through it at once; ``compose``
+is the one-pair case.
 
 For order 2 (4x4 matrices) the paper gives two closed forms, a four-family
 product law and a 16-component table for the six antisymmetric basis
@@ -23,7 +25,8 @@ import numpy as np
 
 from .algebra import EPSILON, Phase, _checked_integer, code_product, distinct_codes
 from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor, _checked_tol,
-                            _coeff_matrix, _matrix_stacks)
+                            _coeff_matrix, _matrix_stacks, _pairs_order,
+                            _tagged_codes, _tags_fit)
 from .errors import DimensionError, DomainError
 from .symmetry import (ANTISYMMETRIC_GL4_SUPPORT, _ANTISYM_GL4_CODES,
                        _check_antisym_gl4)
@@ -40,9 +43,9 @@ __all__ = [
 ]
 
 
-#: Term pairs per block of the compose kernel's second pass; its scratch
-#: arrays hold about this many entries each, whatever the sizes of the
-#: operands.  First-pass blocks start at this size and grow with the
+#: Term pairs per block of the compose kernel; its scratch arrays hold about
+#: this many entries each, whatever the sizes of the operands.  The first
+#: pass merges its product codes once it holds this many, or as many as the
 #: output codes found so far.
 _BLOCK_PAIRS = 8192
 
@@ -58,29 +61,66 @@ _PHASE_RE = np.array([p.to_complex().real for p in Phase])
 _PHASE_IM = np.array([p.to_complex().imag for p in Phase])
 
 
-def _row_blocks(a: CoefficientTensor, b: CoefficientTensor) -> list:
-    rows = max(1, _BLOCK_PAIRS // max(len(b), 1))
-    return [slice(s, s + rows) for s in range(0, len(a), rows)]
+def _row_blocks(na: list, nb: list):
+    """Yield the term pairs of a stack in blocks of about ``_BLOCK_PAIRS``,
+    given the left and right factor sizes of each member.
 
-
-def _output_codes(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """Sorted distinct codes of all products, merged one row block at a time.
-
-    A block holds about max(_BLOCK_PAIRS, codes found so far) pairs, so
-    memory stays O(block + output) and merging costs amortized O(block)
-    per block.
+    A block is an index pair (ia, ib) into the stack's left and right factors
+    laid end to end: left[ia] and right[ib] broadcast to the block's pairs.
+    It holds either whole small members, gathered, or a range of one
+    member's left rows, each against that member's whole right factor (all
+    of its rows when the member fits).  Blocks and the pairs in them run in
+    member order and then in lexicographic order over input index pairs.
     """
-    found, start = np.empty(0, dtype=np.uint64), 0
-    while start < len(ca):
-        rows = max(1, max(_BLOCK_PAIRS, len(found)) // max(len(cb), 1))
-        block = ca[start:start + rows, None] ^ cb
-        found = distinct_codes(np.concatenate([found, block.ravel()]))
-        start += rows
-    return found
+    a_off = list(itertools.accumulate(na, initial=0))
+    b_off = list(itertools.accumulate(nb, initial=0))
+    # a gathered block holds index arrays and copies of its operands, where
+    # a row block holds views, so it takes a quarter of the pairs
+    gather = _BLOCK_PAIRS // 4
+    k = 0
+    while k < len(na):
+        end, pairs = k, 0
+        while end < len(na) and pairs + na[end] * nb[end] <= gather:
+            pairs += na[end] * nb[end]
+            end += 1
+        if end - k > 1:
+            yield _gathered(na[k:end], nb[k:end], a_off[k:end], b_off[k:end])
+            k = end
+        else:
+            rows = max(1, _BLOCK_PAIRS // max(nb[k], 1))
+            right = slice(b_off[k], b_off[k + 1])
+            for s in range(a_off[k], a_off[k + 1], rows):
+                yield np.s_[s:min(s + rows, a_off[k + 1]), None], right
+            k += 1
 
 
-def _dense_route(m: int, pairs: int) -> bool:
-    slots = 4 ** m
+def _gathered(na: list, nb: list, a_start: list, b_start: list) -> tuple:
+    """Index arrays of all term pairs of whole members, in pair order, given
+    each member's sizes and its first left and right position."""
+    # pair j of a member is its left row j // nb, right entry j % nb
+    p = np.multiply(na, nb)
+    j = np.arange(p.sum()) - np.repeat(np.cumsum(p) - p, p)
+    width = np.repeat(nb, p)
+    return np.repeat(a_start, p) + j // width, np.repeat(b_start, p) + j % width
+
+
+def _output_codes(ca: np.ndarray, cb: np.ndarray, blocks) -> np.ndarray:
+    """Sorted distinct codes of all products, merged once the blocks since
+    the last merge hold max(_BLOCK_PAIRS, codes found so far) pairs, so
+    memory stays O(block + output) and merging costs amortized O(block)
+    per block."""
+    found, pending, size = np.empty(0, dtype=np.uint64), [], 0
+    for ia, ib in blocks:
+        pending.append((ca[ia] ^ cb[ib]).ravel())
+        size += len(pending[-1])
+        if size >= max(_BLOCK_PAIRS, len(found)):
+            found = distinct_codes(np.concatenate([found, *pending]))
+            pending, size = [], 0
+    return distinct_codes(np.concatenate([found, *pending])) if pending else found
+
+
+def _dense_route(m: int, pairs: int, members: int = 1) -> bool:
+    slots = members * 4 ** m
     return (16 * slots <= _DENSE_MAX_BYTES
             and pairs * _DENSE_SLOTS_PER_PAIR >= slots)
 
@@ -105,21 +145,39 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
     collects the sorted distinct output codes and each term's slot is
     found by binary search, so scratch memory is O(block + output).
     """
-    if a.m != b.m:
-        raise DimensionError(f"tensor orders differ: {a.m} vs {b.m}")
+    return _compose_pairs([(a, b)], tol)[0]
+
+
+def _compose_pairs(pairs: list, tol: float) -> list:
+    """``compose(a, b, tol)`` of each pair (a, b) of a non-empty list of one
+    order, bit for bit, in one pass over the whole stack.
+
+    Members are told apart by a tag above the 2m code bits: the left codes
+    of member k are ``k << 2m | code``, so a product code carries its
+    member's tag and each member's terms reach only that member's slots.
+    The accumulator rule of ``compose`` applies to the tagged space of
+    members * 4^m slots.  When the tags do not fit in 64 bits, the members
+    run one at a time.
+    """
+    m = _pairs_order(pairs)
     _checked_tol(tol)
-    ca, cb = a.codes, b.codes
-    dense = _dense_route(a.m, len(ca) * len(cb))
-    out = None if dense else _output_codes(ca, cb)
-    acc = np.zeros(4 ** a.m if dense else len(out), dtype=complex)
-    ar, ai = a.values.real[:, None], a.values.imag[:, None]
-    br, bi = b.values.real, b.values.imag
-    # an overflow shows up as a non-finite sum, which _from_codes rejects
+    if not _tags_fit(m, len(pairs)):
+        return [c for pair in pairs for c in _compose_pairs([pair], tol)]
+    na, nb = [len(a) for a, _ in pairs], [len(b) for _, b in pairs]
+    ca = _tagged_codes([a for a, _ in pairs], m)
+    cb = np.concatenate([b.codes for _, b in pairs])
+    va = np.concatenate([a.values for a, _ in pairs])
+    vb = np.concatenate([b.values for _, b in pairs])
+    dense = _dense_route(m, sum(x * y for x, y in zip(na, nb)), len(pairs))
+    out = None if dense else _output_codes(ca, cb, _row_blocks(na, nb))
+    acc = np.zeros(len(pairs) * 4 ** m if dense else len(out), dtype=complex)
+    # an overflow shows up as a non-finite sum, which _from_tagged rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for blk in _row_blocks(a, b):
-            prod, exponent = code_product(ca[blk, None], cb)
-            pr = ar[blk] * br - ai[blk] * bi
-            pi = ar[blk] * bi + ai[blk] * br
+        for ia, ib in _row_blocks(na, nb):
+            prod, exponent = code_product(ca[ia], cb[ib])
+            x, y = va[ia], vb[ib]
+            pr = x.real * y.real - x.imag * y.imag
+            pi = x.real * y.imag + x.imag * y.real
             fr, fi = _PHASE_RE[exponent], _PHASE_IM[exponent]
             # np.add.at applies repeated indices one after another, in pair order
             pos = (prod.ravel().astype(np.intp) if dense
@@ -132,7 +190,7 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
         # (acc != 0 is np.nonzero's own test, and twice as fast on complex)
         out = np.flatnonzero(acc != 0).astype(np.uint64)
         acc = acc[out]
-    return CoefficientTensor._from_codes(a.m, out, acc, tol)
+    return CoefficientTensor._from_tagged(m, out, acc, len(pairs), tol)
 
 
 def _gl4_product_array(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -224,9 +282,16 @@ def compose_antisym_gl4(a: CoefficientTensor, b: CoefficientTensor,
     Both inputs must be supported on the six antisymmetric basis indices.
     The output generally is not (the class is not closed under products).
     """
-    _check_antisym_gl4(a, "left factor")
-    _check_antisym_gl4(b, "right factor")
-    return compose(a, b, tol)
+    return _compose_antisym_pairs([(a, b)], tol)[0]
+
+
+def _compose_antisym_pairs(pairs: list, tol: float) -> list:
+    """``compose_antisym_gl4(a, b, tol)`` of each pair (a, b) of a non-empty
+    list; the first pair outside the support raises what it raises alone."""
+    for a, b in pairs:
+        _check_antisym_gl4(a, "left factor")
+        _check_antisym_gl4(b, "right factor")
+    return _compose_pairs(pairs, tol)
 
 
 # -- validation report --------------------------------------------------------
@@ -328,8 +393,9 @@ def verify_closed_forms(rng: np.random.Generator | None = None,
     # per pair, A and then B
     for dense in _matrix_stacks(rng, 4, pairs, per=2):
         tensors = CoefficientTensor._from_dense(2, dense.reshape(-1, 16), 0.0)
-        for A, B, a, b in zip(dense[0::2], dense[1::2], tensors[0::2], tensors[1::2]):
-            d = _gl4_product_array(A, B) - _coeff_matrix(compose(a, b, 0.0))
+        products = _compose_pairs(list(zip(tensors[0::2], tensors[1::2])), 0.0)
+        for A, B, c in zip(dense[0::2], dense[1::2], products):
+            d = _gl4_product_array(A, B) - _coeff_matrix(c)
             # np.hypot is abs() of a Python complex, bit for bit
             np.maximum(worst, np.hypot(d.real, d.imag), out=worst)
     families = tuple(FamilyCheck(fam, pairs, float(worst[part].max()))

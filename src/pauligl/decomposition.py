@@ -122,15 +122,44 @@ class CoefficientTensor:
         if not np.isfinite(flat).all():
             raise DomainError("non-finite coefficient: the matrix has a "
                               "non-finite or overflowing entry")
+        # a coefficient's flat position is its code tagged with its row
+        pos = np.flatnonzero(_kept(flat, tol))
+        return cls._members(m, pos.astype(np.uint64), flat.ravel()[pos], len(flat))
+
+    @classmethod
+    def _from_tagged(cls, m: int, tagged: np.ndarray, values: np.ndarray,
+                     members: int, tol: float) -> list:
+        """One tensor per member of a stack of ``members`` order-m tensors,
+        held as strictly increasing tagged codes (``k << 2m | code`` for
+        member k, see ``_tagged_codes``) and their values, with m and tol
+        already checked; one finiteness check and one prune for the stack.
+        A non-finite value raises DomainError naming the first one, in
+        member order and then index order, as a lone build would."""
+        finite = np.isfinite(values)
+        if not finite.all():
+            # code_digits reads the 2m code bits only, not the tag
+            bad = tuple(code_digits(tagged[~finite][:1], m)[0].tolist())
+            raise DomainError(f"non-finite coefficient at {bad}")
+        keep = _kept(values, tol)
+        if not keep.all():
+            tagged, values = tagged[keep], values[keep]
+        return cls._members(m, tagged, values, members)
+
+    @classmethod
+    def _members(cls, m: int, tagged: np.ndarray, values: np.ndarray,
+                 members: int) -> list:
+        """One read-only tensor per member of a stack held as kept, strictly
+        increasing tagged codes and their values; the tensors keep views of
+        the given arrays, so the caller must not reuse them."""
+        starts = np.arange(1, members, dtype=np.uint64) << np.uint64(2 * m)
+        bounds = [0, *np.searchsorted(tagged, starts).tolist(), len(tagged)]
+        codes = np.bitwise_and(tagged, np.uint64((1 << 2 * m) - 1), out=tagged)
         out = []
-        # columns are sorted, distinct and in range by construction
-        for row, kept in zip(flat, _kept(flat, tol)):
-            keep = np.flatnonzero(kept)
-            codes, values = keep.astype(np.uint64), row[keep]
-            codes.flags.writeable = False
-            values.flags.writeable = False
+        for lo, hi in zip(bounds, bounds[1:]):
             tensor = cls.__new__(cls)
-            tensor.m, tensor.codes, tensor.values = m, codes, values
+            tensor.m, tensor.codes, tensor.values = m, codes[lo:hi], values[lo:hi]
+            tensor.codes.flags.writeable = False
+            tensor.values.flags.writeable = False
             out.append(tensor)
         return out
 
@@ -186,17 +215,57 @@ def _coeff_matrix(c: CoefficientTensor) -> np.ndarray:
     return t.reshape(4, 4)
 
 
+def _tags_fit(m: int, members: int) -> bool:
+    """Whether the tags of a stack of ``members`` order-m tensors fit above
+    the 2m code bits of a 64-bit code."""
+    return 2 * m + (members - 1).bit_length() <= 64
+
+
+def _tagged_codes(tensors: list, m: int) -> np.ndarray:
+    """The codes of a list of order-m tensors end to end, each tagged with
+    its tensor's position k in the list above the 2m code bits:
+    ``k << 2m | code``.  A tagged code sorts by member, then by index, and
+    one tensor's tags are 0.  The caller checks ``_tags_fit``."""
+    tags = np.arange(len(tensors), dtype=np.uint64) << np.uint64(2 * m)
+    return (np.concatenate([t.codes for t in tensors])
+            | np.repeat(tags, [len(t) for t in tensors]))
+
+
+def _pairs_order(pairs: list) -> int:
+    """The one tensor order of a non-empty list of pairs of tensors; the
+    first pair whose orders differ raises the error a lone call raises."""
+    m = pairs[0][0].m
+    for a, b in pairs:
+        if a.m != b.m:
+            raise DimensionError(f"tensor orders differ: {a.m} vs {b.m}")
+        if a.m != m:
+            raise DimensionError(f"tensor orders differ: {m} vs {a.m}")
+    return m
+
+
 def coeff_distance(a: CoefficientTensor, b: CoefficientTensor) -> float:
     """Max absolute coefficient difference over the union of supports."""
-    if a.m != b.m:
-        raise DimensionError(f"tensor orders differ: {a.m} vs {b.m}")
-    codes = distinct_codes(np.concatenate([a.codes, b.codes]))
+    return float(_coeff_distances([(a, b)])[0])
+
+
+def _coeff_distances(pairs: list) -> np.ndarray:
+    """``coeff_distance(a, b)`` of each pair (a, b) of a non-empty list of
+    one order, the union supports from one sort of the member-tagged codes."""
+    m = _pairs_order(pairs)
+    if not _tags_fit(m, len(pairs)):
+        return np.concatenate([_coeff_distances([pair]) for pair in pairs])
+    lefts, rights = [a for a, _ in pairs], [b for _, b in pairs]
+    left, right = _tagged_codes(lefts, m), _tagged_codes(rights, m)
+    codes = distinct_codes(np.concatenate([left, right]))
     diff = np.zeros(len(codes), dtype=complex)
-    diff[np.searchsorted(codes, a.codes)] = a.values
+    diff[np.searchsorted(codes, left)] = np.concatenate([a.values for a in lefts])
+    worst = np.zeros(len(pairs))
+    member = (codes >> np.uint64(2 * m)).astype(np.intp)
     # a difference or modulus past the largest float is inf, as it should be
     with np.errstate(over="ignore"):
-        diff[np.searchsorted(codes, b.codes)] -= b.values
-        return float(np.hypot(diff.real, diff.imag).max(initial=0.0))
+        diff[np.searchsorted(codes, right)] -= np.concatenate([b.values for b in rights])
+        np.maximum.at(worst, member, np.hypot(diff.real, diff.imag))
+    return worst
 
 
 def _order_of(side: int) -> int:

@@ -1,14 +1,16 @@
 import functools
 import itertools
 import operator
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pauligl import (EPSILON, CoefficientTensor, DimensionError, DomainError,
-                     Phase, basis_element, multi_product, pauli_matrix,
-                     single_product, validate_multi_index)
+from pauligl import (EPSILON, BlockCuts, CoefficientTensor, DimensionError,
+                     DomainError, Phase, basis_element, lex_global_from_local,
+                     multi_product, pauli_matrix, single_product,
+                     validate_multi_index, verify_closed_forms)
 from pauligl.algebra import (code_digits, code_product, distinct_codes,
                              pack_index, y_counts)
 
@@ -207,6 +209,38 @@ class TestValidateMultiIndex:
             with pytest.raises(DomainError) as err:
                 validate_multi_index((digit,))
             assert str(err.value) == "generator index must be in 0..3, got 7"
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf"), np.float64("nan"),
+              np.float32("inf")]
+
+
+class TestNonFiniteIntegers:
+    """NaN and +-inf are refused with the package's error, not int()'s
+    ValueError or OverflowError."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    def test_refused_with_domain_error(self, value):
+        calls = {
+            "pair count": lambda: verify_closed_forms(np.random.default_rng(0), value),
+            "factor size": lambda: lex_global_from_local((1, 0), (2, value)),
+            "n": lambda: BlockCuts(value, 1, 1),
+            "tensor order": lambda: CoefficientTensor(value),
+            "generator index": lambda: validate_multi_index((1, value)),
+        }
+        for what, call in calls.items():
+            message = f"^{what} must be an integer, got {re.escape(repr(value))}$"
+            with pytest.raises(DomainError, match=message):
+                call()
+
+    @pytest.mark.parametrize("value, error", [
+        (None, TypeError), ("x", ValueError), ([2], TypeError),
+        (2 + 0j, TypeError), (complex("nan"), TypeError)], ids=repr)
+    def test_other_non_numbers_keep_int_errors(self, value, error):
+        with pytest.raises(error):
+            CoefficientTensor(value)
+        with pytest.raises(error):
+            validate_multi_index((1, value))
 
 
 def packed(idx):

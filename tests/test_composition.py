@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pauligl import composition
+from pauligl.algebra import distinct_codes
 from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
                      CoefficientTensor, DimensionError, DomainError,
                      TABULATED_ANTISYM_COMPONENTS, coeff_distance, compose,
@@ -366,7 +367,7 @@ class TestRoutes:
         # slot rounds differently from adding its terms one by one
         rng = np.random.default_rng(5)
         a, b = random_operand(rng, 5, 100), random_operand(rng, 5, 100)
-        assert len(composition._row_blocks(a, b)) == 2
+        assert len(list(composition._row_blocks([len(a)], [len(b)]))) == 2
         assert composition._dense_route(5, len(a) * len(b))
         assert_matches_reference(a, b, 0.0)
 
@@ -382,6 +383,141 @@ class TestRoutes:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 4 ** 8 + 2 * 24 * len(out) + 2 ** 20
+
+
+def assert_stack_matches(pairs, tol):
+    """Each member of one stacked call has the bits of its own one-pair call
+    and of the reference."""
+    got = composition._compose_pairs(pairs, tol)
+    assert len(got) == len(pairs)
+    for c, (a, b) in zip(got, pairs):
+        assert tensor_outcome(lambda: c) == tensor_outcome(compose, a, b, tol)
+        want = reference_compose(a, b, tol)
+        assert list(c.coeffs) == list(want)
+        assert float_bits(c.coeffs) == float_bits(want)
+
+
+def fixed_stacks(rng):
+    """Stacks of one order each, mixing empty and one-term members, unequal
+    sizes, the signed-zero pairs and the exact-cancel pair."""
+    signed = (CoefficientTensor(2, {(1, 0): complex(-0.0, 1.0),
+                                    (2, 3): complex(1.0, -0.0)}),
+              CoefficientTensor(2, {(2, 0): complex(-1.0, -0.0),
+                                    (0, 3): complex(-0.0, -1.0)}))
+    # (s1 + s2)(s1 - s2) = -2i s3: the two identity terms cancel exactly
+    cancel = (CoefficientTensor(1, {(1,): 1, (2,): 1}),
+              CoefficientTensor(1, {(1,): 1, (2,): -1}))
+    empty1, empty2 = CoefficientTensor(1, {}), CoefficientTensor(2, {})
+    one1 = CoefficientTensor(1, {(3,): 0.5 - 2j})
+    full2 = decompose(random_complex_matrix(rng, 4), 0.0)
+    one2 = CoefficientTensor(2, {(2, 1): -1.5j})
+    return [
+        [cancel, (empty1, one1), (one1, one1), cancel[::-1], (one1, empty1),
+         (empty1, empty1), cancel],
+        [(empty2, full2), signed, (full2, one2), signed[::-1], (one2, full2),
+         (full2, full2), (one2, one2), (full2, empty2)],
+        fixed_operand_pairs(rng),
+    ]
+
+
+@st.composite
+def composable_stacks(draw, max_m=3, max_terms=8, max_members=8):
+    m = draw(st.integers(1, max_m))
+    values = st.one_of(exact_values, complex_coeffs)
+    tensors = st.builds(lambda d: CoefficientTensor(m, d, tol=0.0),
+                        st.dictionaries(multi_indices(m), values,
+                                        max_size=max_terms))
+    return draw(st.lists(st.tuples(tensors, tensors), min_size=1,
+                         max_size=max_members))
+
+
+def distinct_random_codes(rng, m, n):
+    return distinct_codes(rng.integers(0, 4 ** m, size=n, dtype=np.uint64))
+
+
+class TestStackedCompose:
+    """One stacked call gives each member the bits of its own call."""
+
+    @pytest.mark.parametrize("tol", [0.0, DEFAULT_PRUNE_TOL, 0.5])
+    @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_fixed_stacks(self, rng, route, block_pairs, tol):
+        with forced(route, block_pairs):
+            for pairs in fixed_stacks(rng):
+                assert_stack_matches(pairs, tol)
+
+    @given(composable_stacks(), st.sampled_from(list(ROUTES)),
+           st.sampled_from(BLOCK_PAIRS),
+           st.sampled_from([0.0, DEFAULT_PRUNE_TOL, 0.5]))
+    @settings(max_examples=100)
+    def test_any_stacks(self, pairs, route, block_pairs, tol):
+        with forced(route, block_pairs):
+            assert_stack_matches(pairs, tol)
+
+    @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+    def test_default_route(self, rng, block_pairs):
+        # the route the rule picks for the tagged space, dense slots for
+        # small stacks and sorted codes for sparse m = 5 members
+        pairs = [(random_operand(rng, 5, 15), random_operand(rng, 5, n))
+                 for n in (10, 0, 1, 2)]
+        assert not composition._dense_route(
+            5, sum(len(a) * len(b) for a, b in pairs), len(pairs))
+        with mock.patch.object(composition, "_BLOCK_PAIRS", block_pairs):
+            for stack in (*fixed_stacks(rng), pairs):
+                assert_stack_matches(stack, 0.0)
+
+    @pytest.mark.parametrize("m, members", [(31, 4), (31, 5), (32, 1), (32, 3)])
+    def test_tags_at_the_largest_orders(self, m, members):
+        # tags k << 62 of four members fill the 64 bits; past that, and at
+        # m = 32 with more than one member, the members run one at a time
+        rng = np.random.default_rng(m * members)
+        pairs = [tuple(CoefficientTensor._from_codes(
+            m, distinct_random_codes(rng, m, n), rng.standard_normal(n) + 0j, 0.0)
+            for n in (3, 2)) for _ in range(members)]
+        assert composition._tags_fit(m, members) is (members <= 4 ** (32 - m))
+        assert_stack_matches(pairs, 0.0)
+
+    def test_stack_sizes_for_the_rule(self):
+        # the rule reads the whole tagged space, and one member is the old rule
+        assert composition._dense_route(3, 64 * 64 * 32, 32)
+        assert not composition._dense_route(6, 4096 * 100, 100)
+        assert composition._dense_route(2, 36, 36)
+        assert not composition._dense_route(2, 35, 36)
+
+    @pytest.mark.parametrize("block_pairs", BLOCK_PAIRS)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_errors_name_the_first_bad_member(self, route, block_pairs):
+        fine = (indicator((1,)), indicator((2,)))
+        # inf - inf: the first non-finite slot of this member is (0,)
+        cancel = (CoefficientTensor(1, {(0,): 1e200, (1,): 1e200}),
+                  CoefficientTensor(1, {(0,): 1e200, (1,): -1e200}))
+        # s1 s2 = i s3 overflows at (3,)
+        over = (CoefficientTensor(1, {(1,): 1e200}),
+                CoefficientTensor(1, {(2,): 1e200}))
+        left = (indicator((1,)), indicator((1, 0)))
+        right = (indicator((1, 0)), indicator((1,)))
+        # (stack, its first bad pair): orders are checked before any
+        # arithmetic, as in a lone call
+        stacks = [([fine, over, fine, cancel], over), ([fine, cancel, over], cancel),
+                  ([fine, left, right], left), ([fine, right, fine, left], right),
+                  ([over, left], left)]
+        for pairs, first in stacks:
+            want = tensor_outcome(compose, *first, 0.0)
+            assert want[0] in (DomainError, DimensionError)
+            with forced(route, block_pairs):
+                assert tensor_outcome(
+                    lambda: composition._compose_pairs(pairs, 0.0)[0]) == want
+
+    def test_a_member_of_another_order_is_refused(self):
+        pairs = [(indicator((1,)), indicator((2,))),
+                 (indicator((1, 0)), indicator((2, 0)))]
+        with pytest.raises(DimensionError, match=r"^tensor orders differ: 1 vs 2$"):
+            composition._compose_pairs(pairs, 0.0)
+
+    def test_tol_is_checked_once_for_the_stack(self):
+        a = indicator((1,))
+        with pytest.raises(DomainError, match="prune tolerance"):
+            composition._compose_pairs([(a, a), (a, a)], float("nan"))
 
 
 class TestComposeGl4:
@@ -490,6 +626,30 @@ class TestComposeAntisymGl4:
                     for out, terms in table.items()]
         assert (exact(composition._DERIVED_ANTISYM_TABLE)
                 == exact(reference_derived_antisym_table()))
+
+    def test_stacked_members_match_lone_calls(self, rng):
+        # the closed-form suite's stacks: all 36 basis pairs, and random
+        # pairs on the six
+        basis = [indicator(s) for s in ANTISYM_SORTED]
+        random = [(random_supported(rng, ANTISYMMETRIC_GL4_SUPPORT),
+                   random_supported(rng, ANTISYMMETRIC_GL4_SUPPORT))
+                  for _ in range(20)]
+        for pairs in (list(itertools.product(basis, repeat=2)), random):
+            for tol in (0.0, 0.5):
+                got = composition._compose_antisym_pairs(pairs, tol)
+                assert [tensor_outcome(lambda: c) for c in got] == [
+                    tensor_outcome(compose_antisym_gl4, a, b, tol) for a, b in pairs]
+
+    def test_stacked_support_error_names_the_first_bad_member(self):
+        good = indicator((2, 0))
+        bad = CoefficientTensor(2, {(1, 1): 1.0})
+        worse = CoefficientTensor(2, {(3, 3): 1.0})
+        for pairs, first in (([(good, good), (good, bad), (worse, good)], (good, bad)),
+                             ([(good, good), (worse, bad), (good, bad)], (worse, bad)),
+                             ([(good, good), (good, indicator((2,)))],
+                              (good, indicator((2,))))):
+            assert (tensor_outcome(lambda: composition._compose_antisym_pairs(
+                pairs, 0.0)[0]) == tensor_outcome(compose_antisym_gl4, *first))
 
     def test_rejects_outside_support(self):
         good = indicator((2, 0))

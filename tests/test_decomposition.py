@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -9,8 +10,9 @@ from hypothesis import example, given, strategies as st
 from pauligl import (CoefficientTensor, DimensionError, DomainError,
                      basis_element, coeff_distance, compose, decompose,
                      lex_local_from_global, pauli_matrix, reconstruct)
-from pauligl.decomposition import (MAX_DENSE_BYTES, MAX_ORDER, _coeff_matrix,
-                                   _coefficients, _decompose_stack, _kept,
+from pauligl.decomposition import (MAX_DENSE_BYTES, MAX_ORDER, _coeff_distances,
+                                   _coeff_matrix, _coefficients,
+                                   _decompose_stack, _kept,
                                    _matrix_stacks, _reconstruct_stack,
                                    coefficient_array)
 
@@ -390,6 +392,67 @@ class TestCoeffDistance:
         a = CoefficientTensor(1, {(1,): complex(BIG, BIG)})
         b = CoefficientTensor(1, {(1,): -BIG})
         assert coeff_distance(a, b) == float("inf")
+
+
+def python_modulus(z: complex) -> float:
+    # abs() is C hypot, which np.hypot is too (math.hypot may differ by an
+    # ulp); past the largest float it raises where np.hypot gives inf
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def distance_by_index(a, b) -> float:
+    """The distance as one Python modulus per index of the union support."""
+    union = set(a.coeffs) | set(b.coeffs)
+    return max((python_modulus(a.coeff(i) - b.coeff(i)) for i in union),
+               default=0.0)
+
+
+@st.composite
+def distance_stacks(draw, max_m=3, max_members=8):
+    m = draw(st.integers(1, max_m))
+    values = st.builds(complex, edge_floats, edge_floats)
+    tensors = st.builds(lambda d: CoefficientTensor(m, d, tol=0.0),
+                        st.dictionaries(st.tuples(*[st.integers(0, 3)] * m),
+                                        values, max_size=6))
+    return draw(st.lists(st.tuples(tensors, tensors), min_size=1,
+                         max_size=max_members))
+
+
+class TestStackedDistances:
+    """One stacked call gives each pair the distance of its own call."""
+
+    @given(distance_stacks())
+    def test_members_match_lone_calls(self, pairs):
+        got = _coeff_distances(pairs).tolist()
+        assert got == [coeff_distance(a, b) for a, b in pairs]
+        assert got == [distance_by_index(a, b) for a, b in pairs]
+
+    def test_fixed_stack(self):
+        empty = CoefficientTensor(2, {})
+        a = CoefficientTensor(2, {(1, 0): 1.0, (3, 3): complex(BIG, BIG)})
+        b = CoefficientTensor(2, {(1, 0): -0.5, (0, 2): 2j})
+        pairs = [(empty, empty), (a, b), (b, a), (b, b), (empty, b), (a, a)]
+        got = _coeff_distances(pairs).tolist()
+        assert got == [coeff_distance(x, y) for x, y in pairs]
+        assert got == [0.0, float("inf"), float("inf"), 0.0, 2.0, 0.0]
+
+    @pytest.mark.parametrize("m, members", [(31, 4), (31, 5), (32, 3)])
+    def test_tags_at_the_largest_orders(self, m, members):
+        rng = np.random.default_rng(m + members)
+        pairs = [tuple(CoefficientTensor(m, {tuple(rng.integers(0, 4, m).tolist()):
+                                             complex(*rng.standard_normal(2))
+                                             for _ in range(3)}, tol=0.0)
+                       for _ in range(2)) for _ in range(members)]
+        assert _coeff_distances(pairs).tolist() == [
+            distance_by_index(a, b) for a, b in pairs]
+
+    def test_first_order_mismatch_is_named(self):
+        one, two = CoefficientTensor(1, {}), CoefficientTensor(2, {})
+        with pytest.raises(DimensionError, match=r"^tensor orders differ: 2 vs 1$"):
+            _coeff_distances([(one, one), (two, one), (one, two)])
 
 
 def transform_corpus(rng, m):

@@ -30,6 +30,7 @@ _qvector_to_dense = symmetry.qvector_to_dense
 _block_local_from_global = indexing.block_local_from_global
 _matrix_stacks = decomposition._matrix_stacks
 _row_blocks = composition._row_blocks
+_tagged_codes = decomposition._tagged_codes
 _tally_check = verify._Tally.check
 _from_dense = decomposition.CoefficientTensor._from_dense.__func__
 
@@ -86,8 +87,13 @@ def parts_swapped(rng, n, count, per=1):
         yield a.imag + 1j * a.real
 
 
-def blocks_last_first(a, b):
-    return _row_blocks(a, b)[::-1]
+def blocks_last_first(na, nb):
+    return list(_row_blocks(na, nb))[::-1]
+
+
+def tag_off_by_one(tensors, m):
+    # member k's terms land in member k + 1's slots
+    return _tagged_codes(tensors, m) + (np.uint64(1) << np.uint64(2 * m))
 
 
 def failed_counted_as_passed(self, ok, error=None, count=1, part=None):
@@ -168,6 +174,9 @@ MUTANTS = [
            ((composition, "_row_blocks", blocks_last_first),),
            frozenset(),
            test_composition.TestRoutes().test_blocks_add_onto_running_sums),
+    Mutant("the member tag of compose is off by one",
+           ((composition, "_tagged_codes", tag_off_by_one),),
+           frozenset({"homomorphism", "closed-form", "closed-classes"})),
     Mutant("the tally counts a failed check as passed",
            ((verify._Tally, "check", failed_counted_as_passed),),
            frozenset(),
