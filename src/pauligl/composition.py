@@ -4,9 +4,9 @@ The product of two basis elements is a single phased basis element, so the
 product of two coefficient tensors is a bilinear combination over stored
 pairs.  ``compose`` is that general path for any tensor order; it works on
 the packed codes of ``pauligl.algebra`` and takes the product index and
-phase of each term pair from ``code_product``.  Its kernel takes a stack of
-pairs of one order, which ``verify`` passes through it at once; ``compose``
-is the one-pair case.
+phase of each term pair from ``code_product``.  Its kernel composes a left
+and a right stack of tensors member by member in one pass; ``verify`` passes
+whole stacks through it, and ``compose`` is the one-member case.
 
 For order 2 (4x4 matrices) the paper gives two closed forms, a four-family
 product law and a 16-component table for the six antisymmetric basis
@@ -25,11 +25,11 @@ import numpy as np
 
 from .algebra import EPSILON, Phase, _checked_integer, code_product, distinct_codes
 from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor, _checked_tol,
-                            _coeff_matrix, _matrix_stacks, _pairs_order,
-                            _tagged_codes, _tags_fit)
+                            _from_dense, _from_tagged, _matrix_stacks, _same_order,
+                            _stack)
 from .errors import DimensionError, DomainError
 from .symmetry import (ANTISYMMETRIC_GL4_SUPPORT, _ANTISYM_GL4_CODES,
-                       _check_antisym_gl4)
+                       _check_antisym_gl4_stacks)
 
 __all__ = [
     "compose",
@@ -145,32 +145,22 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
     collects the sorted distinct output codes and each term's slot is
     found by binary search, so scratch memory is O(block + output).
     """
-    return _compose_pairs([(a, b)], tol)[0]
+    return _compose(_stack([a]), _stack([b]), tol).tensors()[0]
 
 
-def _compose_pairs(pairs: list, tol: float) -> list:
-    """``compose(a, b, tol)`` of each pair (a, b) of a non-empty list of one
-    order, bit for bit, in one pass over the whole stack.
-
-    Members are told apart by a tag above the 2m code bits: the left codes
-    of member k are ``k << 2m | code``, so a product code carries its
-    member's tag and each member's terms reach only that member's slots.
-    The accumulator rule of ``compose`` applies to the tagged space of
-    members * 4^m slots.  When the tags do not fit in 64 bits, the members
-    run one at a time.
-    """
-    m = _pairs_order(pairs)
+def _compose(left, right, tol: float):
+    """The stack of ``compose(a, b, tol)`` of each member a of ``left`` and the same
+    member b of ``right``, bit for bit, in one pass.  Left codes keep their tags and
+    right codes lose theirs, so each member's products land in its own slots; the
+    accumulator rule of ``compose`` applies to all members * 4^m tagged slots."""
+    _same_order(left.m, right.m)
     _checked_tol(tol)
-    if not _tags_fit(m, len(pairs)):
-        return [c for pair in pairs for c in _compose_pairs([pair], tol)]
-    na, nb = [len(a) for a, _ in pairs], [len(b) for _, b in pairs]
-    ca = _tagged_codes([a for a, _ in pairs], m)
-    cb = np.concatenate([b.codes for _, b in pairs])
-    va = np.concatenate([a.values for a, _ in pairs])
-    vb = np.concatenate([b.values for _, b in pairs])
-    dense = _dense_route(m, sum(x * y for x, y in zip(na, nb)), len(pairs))
+    m, members = left.m, left.members
+    na, nb = left.sizes().tolist(), right.sizes().tolist()
+    ca, cb, va, vb = left.codes, right.untagged(), left.values, right.values
+    dense = _dense_route(m, sum(x * y for x, y in zip(na, nb)), members)
     out = None if dense else _output_codes(ca, cb, _row_blocks(na, nb))
-    acc = np.zeros(len(pairs) * 4 ** m if dense else len(out), dtype=complex)
+    acc = np.zeros(members * 4 ** m if dense else len(out), dtype=complex)
     # an overflow shows up as a non-finite sum, which _from_tagged rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for ia, ib in _row_blocks(na, nb):
@@ -190,7 +180,7 @@ def _compose_pairs(pairs: list, tol: float) -> list:
         # (acc != 0 is np.nonzero's own test, and twice as fast on complex)
         out = np.flatnonzero(acc != 0).astype(np.uint64)
         acc = acc[out]
-    return CoefficientTensor._from_tagged(m, out, acc, len(pairs), tol)
+    return _from_tagged(m, out, acc, members, tol)
 
 
 def _gl4_product_array(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -282,16 +272,14 @@ def compose_antisym_gl4(a: CoefficientTensor, b: CoefficientTensor,
     Both inputs must be supported on the six antisymmetric basis indices.
     The output generally is not (the class is not closed under products).
     """
-    return _compose_antisym_pairs([(a, b)], tol)[0]
+    return _compose_antisym(_stack([a]), _stack([b]), tol).tensors()[0]
 
 
-def _compose_antisym_pairs(pairs: list, tol: float) -> list:
-    """``compose_antisym_gl4(a, b, tol)`` of each pair (a, b) of a non-empty
-    list; the first pair outside the support raises what it raises alone."""
-    for a, b in pairs:
-        _check_antisym_gl4(a, "left factor")
-        _check_antisym_gl4(b, "right factor")
-    return _compose_pairs(pairs, tol)
+def _compose_antisym(left, right, tol: float):
+    """``compose_antisym_gl4`` of each pair of members; the first bad pair
+    raises what it raises alone."""
+    _check_antisym_gl4_stacks(left, right)
+    return _compose(left, right, tol)
 
 
 # -- validation report --------------------------------------------------------
@@ -392,10 +380,9 @@ def verify_closed_forms(rng: np.random.Generator | None = None,
     worst = np.zeros((4, 4))
     # per pair, A and then B
     for dense in _matrix_stacks(rng, 4, pairs, per=2):
-        tensors = CoefficientTensor._from_dense(2, dense.reshape(-1, 16), 0.0)
-        products = _compose_pairs(list(zip(tensors[0::2], tensors[1::2])), 0.0)
-        for A, B, c in zip(dense[0::2], dense[1::2], products):
-            d = _gl4_product_array(A, B) - _coeff_matrix(c)
+        products = _compose(*_from_dense(2, dense.reshape(-1, 16), 0.0).pairs(), 0.0)
+        for A, B, C in zip(dense[0::2], dense[1::2], products.dense().reshape(-1, 4, 4)):
+            d = _gl4_product_array(A, B) - C
             # np.hypot is abs() of a Python complex, bit for bit
             np.maximum(worst, np.hypot(d.real, d.imag), out=worst)
     families = tuple(FamilyCheck(fam, pairs, float(worst[part].max()))

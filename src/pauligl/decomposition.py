@@ -6,9 +6,9 @@ generator basis; the coefficient attached to a multi-index is
     c(idx) = 2^-m * Tr(basis_element(idx) @ A).
 
 ``decompose`` evaluates this with a factorized transform (one 4x4 mixing pass
-per tensor factor, O(m * 4^m) total).  The transform takes a stack of
-matrices, which ``verify`` passes through it at once; ``decompose``,
-``reconstruct`` and ``coefficient_array`` are its one-matrix case.
+per tensor factor, O(m * 4^m) total).  The transform and the stack type
+``_Stack`` (tensors of one order in two tagged arrays) let ``verify`` pass
+whole stacks through; the public functions are their one-member case.
 """
 
 from __future__ import annotations
@@ -65,12 +65,9 @@ def _checked_order(m) -> int:
     return m
 
 
-def _check_dense_size(m: int) -> None:
-    nbytes = 16 * 4 ** m
-    if nbytes > MAX_DENSE_BYTES:
-        raise DimensionError(
-            f"a dense order-{m} array needs {nbytes} bytes, above the "
-            f"{MAX_DENSE_BYTES}-byte limit")
+def _same_order(m: int, other: int) -> None:
+    if m != other:
+        raise DimensionError(f"tensor orders differ: {m} vs {other}")
 
 
 def _checked_index(idx, m: int) -> tuple[int, ...]:
@@ -103,80 +100,17 @@ class CoefficientTensor:
         items = coeffs.items() if hasattr(coeffs, "items") else (coeffs or ())
         entries = {pack_index(_checked_index(idx, m)): complex(value)
                    for idx, value in items}
-        self._assign(m, np.fromiter(entries, np.uint64, len(entries)),
-                     np.fromiter(entries.values(), complex, len(entries)), tol)
+        stack = _from_tagged(m, np.fromiter(entries, np.uint64, len(entries)),
+                             np.fromiter(entries.values(), complex, len(entries)),
+                             1, tol)
+        self.m, self.codes, self.values = m, stack.codes, stack.values
 
     @classmethod
     def _from_codes(cls, m: int, codes: np.ndarray, values: np.ndarray,
                     tol: float) -> "CoefficientTensor":
         """Build from distinct in-range uint64 codes and their values, any order."""
-        out = cls.__new__(cls)
-        out._assign(_checked_order(m), codes, values, _checked_tol(tol))
-        return out
-
-    @classmethod
-    def _from_dense(cls, m: int, flat: np.ndarray, tol: float) -> list:
-        """One tensor per row of a (B, 4**m) coefficient array, the column of
-        each coefficient its code, with m and tol already checked; prunes
-        the whole stack at once.  A non-finite coefficient raises DomainError."""
-        if not np.isfinite(flat).all():
-            raise DomainError("non-finite coefficient: the matrix has a "
-                              "non-finite or overflowing entry")
-        # a coefficient's flat position is its code tagged with its row
-        pos = np.flatnonzero(_kept(flat, tol))
-        return cls._members(m, pos.astype(np.uint64), flat.ravel()[pos], len(flat))
-
-    @classmethod
-    def _from_tagged(cls, m: int, tagged: np.ndarray, values: np.ndarray,
-                     members: int, tol: float) -> list:
-        """One tensor per member of a stack of ``members`` order-m tensors,
-        held as strictly increasing tagged codes (``k << 2m | code`` for
-        member k, see ``_tagged_codes``) and their values, with m and tol
-        already checked; one finiteness check and one prune for the stack.
-        A non-finite value raises DomainError naming the first one, in
-        member order and then index order, as a lone build would."""
-        finite = np.isfinite(values)
-        if not finite.all():
-            # code_digits reads the 2m code bits only, not the tag
-            bad = tuple(code_digits(tagged[~finite][:1], m)[0].tolist())
-            raise DomainError(f"non-finite coefficient at {bad}")
-        keep = _kept(values, tol)
-        if not keep.all():
-            tagged, values = tagged[keep], values[keep]
-        return cls._members(m, tagged, values, members)
-
-    @classmethod
-    def _members(cls, m: int, tagged: np.ndarray, values: np.ndarray,
-                 members: int) -> list:
-        """One read-only tensor per member of a stack held as kept, strictly
-        increasing tagged codes and their values; the tensors keep views of
-        the given arrays, so the caller must not reuse them."""
-        starts = np.arange(1, members, dtype=np.uint64) << np.uint64(2 * m)
-        bounds = [0, *np.searchsorted(tagged, starts).tolist(), len(tagged)]
-        codes = np.bitwise_and(tagged, np.uint64((1 << 2 * m) - 1), out=tagged)
-        out = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            tensor = cls.__new__(cls)
-            tensor.m, tensor.codes, tensor.values = m, codes[lo:hi], values[lo:hi]
-            tensor.codes.flags.writeable = False
-            tensor.values.flags.writeable = False
-            out.append(tensor)
-        return out
-
-    def _assign(self, m, codes, values, tol) -> None:
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = tuple(code_digits(codes[~finite][:1], m)[0].tolist())
-            raise DomainError(f"non-finite coefficient at {bad}")
-        if (codes[1:] <= codes[:-1]).any():
-            order = np.argsort(codes)
-            codes, values = codes[order], values[order]
-        keep = _kept(values, tol)
-        if not keep.all():
-            codes, values = codes[keep], values[keep]
-        codes.flags.writeable = False
-        values.flags.writeable = False
-        self.m, self.codes, self.values = m, codes, values
+        stack = _from_tagged(_checked_order(m), codes, values, 1, _checked_tol(tol))
+        return _tensor(stack.m, stack.codes, stack.values)
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -206,64 +140,130 @@ class CoefficientTensor:
         return f"CoefficientTensor(m={self.m}, nnz={len(self.codes)})"
 
 
+def _tensor(m: int, codes: np.ndarray, values: np.ndarray) -> CoefficientTensor:
+    """A tensor on read-only canonical arrays, which it keeps as they are."""
+    out = CoefficientTensor.__new__(CoefficientTensor)
+    out.m, out.codes, out.values = m, codes, values
+    return out
+
+
+class _Stack:
+    """``members`` order-m tensors in two read-only arrays: strictly increasing
+    tagged codes ``k << 2m | code`` for member k, which are also the terms' flat
+    positions in the dense ``(members, 4**m)`` form, and their finite, pruned
+    values.  The tags fit in 64 bits; one member shares its tensor's arrays."""
+
+    __slots__ = ("m", "codes", "values", "members")
+
+    def __init__(self, m: int, codes: np.ndarray, values: np.ndarray, members: int):
+        codes.flags.writeable = False
+        values.flags.writeable = False
+        self.m, self.codes, self.values, self.members = m, codes, values, members
+
+    def member(self) -> np.ndarray:
+        """The member index of each stored term."""
+        return (self.codes >> np.uint64(2 * self.m)).astype(np.intp)
+
+    def sizes(self) -> np.ndarray:
+        """The number of stored terms of each member."""
+        return np.bincount(self.member(), minlength=self.members)
+
+    def untagged(self) -> np.ndarray:
+        """The code of each stored term without its tag, as a new array."""
+        return self.codes & np.uint64((1 << 2 * self.m) - 1)
+
+    def pairs(self) -> tuple:
+        """The left and right stacks of a stack of pairs: members 2k and 2k + 1 as k."""
+        member, low = self.member(), self.untagged()
+        tags = (member >> 1).astype(np.uint64) << np.uint64(2 * self.m)
+        return tuple(_Stack(self.m, tags[s] | low[s], self.values[s], self.members // 2)
+                     for s in (member & 1 == 0, member & 1 == 1))
+
+    def tensors(self) -> list:
+        """One tensor per member (one member shares the arrays); the stack is unchanged."""
+        codes = self.codes if self.members == 1 else self.untagged()
+        codes.flags.writeable = False
+        bounds = [0, *np.cumsum(self.sizes()).tolist()]
+        return [_tensor(self.m, codes[lo:hi], self.values[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])]
+
+    def dense(self) -> np.ndarray:
+        """The ``(members, 4**m)`` coefficient array, one scatter at the tagged codes."""
+        out = np.zeros((self.members, 4 ** self.m), dtype=complex)
+        out.reshape(-1)[self.codes] = self.values
+        return out
+
+
+def _stack(tensors: list) -> _Stack:
+    """The stack of a non-empty list of tensors; two orders, or more tensors
+    than 64-bit tags hold, raise DimensionError."""
+    m, k = tensors[0].m, len(tensors)
+    if k == 1:
+        return _Stack(m, tensors[0].codes, tensors[0].values, 1)
+    for c in tensors:
+        _same_order(m, c.m)
+    if 2 * m + (k - 1).bit_length() > 64:
+        raise DimensionError(f"a stack of {k} order-{m} tensors does not fit "
+                             f"in 64-bit tagged codes")
+    tags = np.repeat(np.arange(k, dtype=np.uint64) << np.uint64(2 * m),
+                     [len(c) for c in tensors])
+    codes = np.concatenate([c.codes for c in tensors]) | tags
+    return _Stack(m, codes, np.concatenate([c.values for c in tensors]), k)
+
+
+def _from_tagged(m: int, codes: np.ndarray, values: np.ndarray, members: int,
+                 tol: float) -> _Stack:
+    """The stack of ``members`` order-m tensors from distinct tagged codes and their
+    values in any order, m and tol checked.  A non-finite value raises DomainError
+    naming the first in input order; then the terms are sorted if need be and pruned."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        # code_digits reads the 2m code bits only, not the tag
+        bad = tuple(code_digits(codes[~finite][:1], m)[0].tolist())
+        raise DomainError(f"non-finite coefficient at {bad}")
+    if (codes[1:] <= codes[:-1]).any():
+        order = np.argsort(codes)
+        codes, values = codes[order], values[order]
+    keep = _kept(values, tol)
+    if not keep.all():
+        codes, values = codes[keep], values[keep]
+    return _Stack(m, codes, values, members)
+
+
+def _from_dense(m: int, flat: np.ndarray, tol: float) -> _Stack:
+    """The stack of the rows of a (B, 4**m) coefficient array, m and tol checked,
+    pruned at once.  A non-finite coefficient raises DomainError."""
+    if not np.isfinite(flat).all():
+        raise DomainError("non-finite coefficient: the matrix has a "
+                          "non-finite or overflowing entry")
+    pos = np.flatnonzero(_kept(flat, tol))
+    return _Stack(m, pos.astype(np.uint64), flat.ravel()[pos], len(flat))
+
+
 def _coeff_matrix(c: CoefficientTensor) -> np.ndarray:
     """The 16 coefficients of an order-2 tensor as a 4x4 array indexed by digits."""
     if c.m != 2:
         raise DimensionError(f"closed form requires tensor order 2, got {c.m}")
-    t = np.zeros(16, dtype=complex)
-    t[c.codes] = c.values
-    return t.reshape(4, 4)
-
-
-def _tags_fit(m: int, members: int) -> bool:
-    """Whether the tags of a stack of ``members`` order-m tensors fit above
-    the 2m code bits of a 64-bit code."""
-    return 2 * m + (members - 1).bit_length() <= 64
-
-
-def _tagged_codes(tensors: list, m: int) -> np.ndarray:
-    """The codes of a list of order-m tensors end to end, each tagged with
-    its tensor's position k in the list above the 2m code bits:
-    ``k << 2m | code``.  A tagged code sorts by member, then by index, and
-    one tensor's tags are 0.  The caller checks ``_tags_fit``."""
-    tags = np.arange(len(tensors), dtype=np.uint64) << np.uint64(2 * m)
-    return (np.concatenate([t.codes for t in tensors])
-            | np.repeat(tags, [len(t) for t in tensors]))
-
-
-def _pairs_order(pairs: list) -> int:
-    """The one tensor order of a non-empty list of pairs of tensors; the
-    first pair whose orders differ raises the error a lone call raises."""
-    m = pairs[0][0].m
-    for a, b in pairs:
-        if a.m != b.m:
-            raise DimensionError(f"tensor orders differ: {a.m} vs {b.m}")
-        if a.m != m:
-            raise DimensionError(f"tensor orders differ: {m} vs {a.m}")
-    return m
+    return _stack([c]).dense().reshape(4, 4)
 
 
 def coeff_distance(a: CoefficientTensor, b: CoefficientTensor) -> float:
     """Max absolute coefficient difference over the union of supports."""
-    return float(_coeff_distances([(a, b)])[0])
+    return float(_coeff_distances(_stack([a]), _stack([b]))[0])
 
 
-def _coeff_distances(pairs: list) -> np.ndarray:
-    """``coeff_distance(a, b)`` of each pair (a, b) of a non-empty list of
-    one order, the union supports from one sort of the member-tagged codes."""
-    m = _pairs_order(pairs)
-    if not _tags_fit(m, len(pairs)):
-        return np.concatenate([_coeff_distances([pair]) for pair in pairs])
-    lefts, rights = [a for a, _ in pairs], [b for _, b in pairs]
-    left, right = _tagged_codes(lefts, m), _tagged_codes(rights, m)
-    codes = distinct_codes(np.concatenate([left, right]))
+def _coeff_distances(left: _Stack, right: _Stack) -> np.ndarray:
+    """``coeff_distance`` of each member of ``left`` with the same member of
+    ``right``, the union supports from one sort of the tagged codes."""
+    _same_order(left.m, right.m)
+    codes = distinct_codes(np.concatenate([left.codes, right.codes]))
     diff = np.zeros(len(codes), dtype=complex)
-    diff[np.searchsorted(codes, left)] = np.concatenate([a.values for a in lefts])
-    worst = np.zeros(len(pairs))
-    member = (codes >> np.uint64(2 * m)).astype(np.intp)
+    diff[np.searchsorted(codes, left.codes)] = left.values
+    worst = np.zeros(left.members)
+    member = (codes >> np.uint64(2 * left.m)).astype(np.intp)
     # a difference or modulus past the largest float is inf, as it should be
     with np.errstate(over="ignore"):
-        diff[np.searchsorted(codes, right)] -= np.concatenate([b.values for b in rights])
+        diff[np.searchsorted(codes, right.codes)] -= right.values
         np.maximum.at(worst, member, np.hypot(diff.real, diff.imag))
     return worst
 
@@ -373,14 +373,14 @@ def decompose(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
     """
     _checked_tol(tol)
     c = coefficient_array(matrix)
-    return CoefficientTensor._from_dense(c.ndim, c.reshape(1, -1), tol)[0]
+    return _from_dense(c.ndim, c.reshape(1, -1), tol).tensors()[0]
 
 
-def _decompose_stack(stack: np.ndarray) -> list:
-    """``decompose(a, 0.0)`` of each matrix a of a complex (B, 2^m, 2^m)
-    stack, m >= 1, through one transform."""
+def _decompose_stack(stack: np.ndarray) -> _Stack:
+    """The stack of ``decompose(a, 0.0)`` of each matrix a of a complex
+    (B, 2^m, 2^m) stack, m >= 1, through one transform."""
     m = stack.shape[-1].bit_length() - 1
-    return CoefficientTensor._from_dense(m, _coefficients(stack, m), 0.0)
+    return _from_dense(m, _coefficients(stack, m), 0.0)
 
 
 def reconstruct(c: CoefficientTensor) -> np.ndarray:
@@ -389,19 +389,17 @@ def reconstruct(c: CoefficientTensor) -> np.ndarray:
     Raises DimensionError when the dense array would exceed MAX_DENSE_BYTES,
     and DomainError when a sum overflows to a non-finite entry.
     """
-    return _reconstruct_stack([c])[0]
+    return _reconstruct_stack(_stack([c]))[0]
 
 
-def _reconstruct_stack(tensors: list) -> np.ndarray:
-    """``reconstruct`` of each of a non-empty list of tensors of one order,
-    as one (B, 2^m, 2^m) stack, through one transform."""
-    m = tensors[0].m
-    _check_dense_size(m)
-    dense = np.zeros((len(tensors), 4 ** m), dtype=complex)
-    for row, c in zip(dense, tensors):
-        row[c.codes] = c.values
-    dense = _transform(dense, _INVERSE, m)
+def _reconstruct_stack(stack: _Stack) -> np.ndarray:
+    """``reconstruct`` of each member of a stack, as one (B, 2^m, 2^m)
+    array, through one transform."""
+    m, nbytes = stack.m, 16 * 4 ** stack.m
+    if nbytes > MAX_DENSE_BYTES:
+        raise DimensionError(f"a dense order-{m} array needs {nbytes} bytes, above "
+                             f"the {MAX_DENSE_BYTES}-byte limit")
+    dense = _transform(stack.dense(), _INVERSE, m)
     if not np.isfinite(dense).all():
-        raise DomainError("non-finite matrix entry: a sum of coefficients "
-                          "overflows")
+        raise DomainError("non-finite matrix entry: a sum of coefficients overflows")
     return _deinterleaved(dense, m)

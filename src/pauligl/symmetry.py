@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EPSILON, code_digits, pack_index, validate_multi_index, y_counts
-from .decomposition import DEFAULT_PRUNE_TOL, CoefficientTensor, _coeff_matrix
+from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor, _coeff_matrix,
+                            _Stack, _stack)
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -78,8 +79,8 @@ _ANTISYM_GL4_CODES = np.array(sorted(pack_index(i) for i in ANTISYMMETRIC_GL4_SU
 
 
 def antisymmetric_mask(c: CoefficientTensor) -> np.ndarray:
-    """``classify_basis`` for every stored term: True where the digit-2 count is odd."""
-    return (y_counts(c.codes) & 1).astype(bool)
+    """``classify_basis`` of each stored term of a tensor or a stack: odd digit-2 count."""
+    return (y_counts(c.codes & np.uint64((1 << 2 * c.m) - 1)) & 1).astype(bool)
 
 
 def _check_antisym_gl4(c: CoefficientTensor, operand: str) -> None:
@@ -94,13 +95,28 @@ def _check_antisym_gl4(c: CoefficientTensor, operand: str) -> None:
                           f"antisymmetric indices: {indices}")
 
 
+def _check_antisym_gl4_stacks(left: _Stack, right: _Stack) -> None:
+    """``_check_antisym_gl4`` of each pair of members, left before right."""
+    if not (left.m == right.m == 2 and antisymmetric_mask(left).all()
+            and antisymmetric_mask(right).all()):
+        for a, b in zip(left.tensors(), right.tensors()):
+            _check_antisym_gl4(a, "left factor")
+            _check_antisym_gl4(b, "right factor")
+
+
 def transpose_coeffs(c: CoefficientTensor) -> CoefficientTensor:
     """Coefficients of the transposed matrix: sign flip per index-2 factor.
 
     Exact involution; reconstruct(transpose_coeffs(c)) is the dense transpose.
     """
-    return CoefficientTensor._from_codes(
-        c.m, c.codes, np.where(antisymmetric_mask(c), -c.values, c.values), 0.0)
+    return _transposed(_stack([c])).tensors()[0]
+
+
+def _transposed(stack: _Stack) -> _Stack:
+    """``transpose_coeffs`` of each member; a sign flip keeps the values
+    finite and nonzero and the codes in order, so nothing is rebuilt."""
+    values = np.where(antisymmetric_mask(stack), -stack.values, stack.values)
+    return _Stack(stack.m, stack.codes, values, stack.members)
 
 
 def project(c: CoefficientTensor, kind: SymmetryKind) -> CoefficientTensor:

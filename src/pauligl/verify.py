@@ -18,15 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import basis_element, pack_index, pauli_matrix, single_product
-from .composition import (ClosedFormReport, _compose_antisym_pairs, _compose_pairs,
-                          compose, verify_closed_forms)
+from .composition import (ClosedFormReport, _compose, _compose_antisym, compose,
+                          verify_closed_forms)
 from .decomposition import (CoefficientTensor, _coeff_distances, _decompose_stack,
-                            _matrix_stacks, _reconstruct_stack)
+                            _from_dense, _matrix_stacks, _reconstruct_stack, _stack)
 from .indexing import (BlockCuts, block_global_from_local, block_local_from_global,
                        lex_global_from_local, lex_local_from_global)
 from .symmetry import (_ANTISYM_GL4_CODES, ANTISYMMETRIC_GL4_SUPPORT, QVector,
-                       antisymmetric_mask, coeffs_to_qvector, qvector_to_coeffs,
-                       qvector_to_dense, transpose_coeffs)
+                       _transposed, antisymmetric_mask, coeffs_to_qvector,
+                       qvector_to_coeffs, qvector_to_dense)
 
 __all__ = ["SuiteResult", "VerificationReport", "run_verification"]
 
@@ -102,10 +102,9 @@ def _suite_homomorphism(tally, rng) -> str:
         n = 2 ** m
         # each pair is drawn a then b
         for dense in _matrix_stacks(rng, n, 50, per=2):
-            factors = _decompose_stack(dense)
+            left, right = _decompose_stack(dense).pairs()
             products = _decompose_stack(dense[0::2] @ dense[1::2])
-            composed = _compose_pairs(list(zip(factors[0::2], factors[1::2])), 0.0)
-            errors = _coeff_distances(list(zip(composed, products)))
+            errors = _coeff_distances(_compose(left, right, 0.0), products)
             tally.check(np.count_nonzero(errors < 1e-10), errors.max(), len(errors))
     return f"worst error {tally.worst:.3e}, bound 1e-10"
 
@@ -134,12 +133,12 @@ def _suite_transpose(tally, rng) -> str:
         n = 2 ** m
         for a in _matrix_stacks(rng, n, 25):
             cs = _decompose_stack(a)
-            ts = [transpose_coeffs(c) for c in cs]
-            cts = _decompose_stack(a.transpose(0, 2, 1))
-            errors = _coeff_distances(list(zip(ts, cts)))
+            ts = _transposed(cs)
+            errors = _coeff_distances(ts, _decompose_stack(a.transpose(0, 2, 1)))
             tally.check(np.count_nonzero(errors < 1e-12), errors.max(), len(errors))
-            for c, t in zip(cs, ts):
-                tally.check(transpose_coeffs(t) == c)
+            # distance 0 is == for pruned tensors: finite x - y is 0 iff x == y
+            same = _coeff_distances(_transposed(ts), cs) == 0
+            tally.check(np.count_nonzero(same), count=len(same))
     return f"worst error {tally.worst:.3e}, bound 1e-12; involution exact"
 
 
@@ -193,22 +192,19 @@ def _indicator(idx) -> CoefficientTensor:
     return CoefficientTensor._from_codes(2, _codes([idx]), np.ones(1, complex), 0.0)
 
 
-def _random_pairs(rng, codes: np.ndarray, count: int) -> list:
-    """count pairs of order-2 tensors on the given codes from one draw and
-    one stacked build: for each tensor in turn, a standard normal real and
-    then imaginary part per code."""
+def _random_pairs(rng, codes: np.ndarray, count: int) -> tuple:
+    """Left and right stacks of count order-2 tensors on the given codes from
+    one draw: per pair, left then right, a normal real and imaginary part per code."""
     values = rng.standard_normal((2 * count, 2 * len(codes))).view(complex)
     flat = np.zeros((2 * count, 16), dtype=complex)
     flat[:, codes.astype(np.intp)] = values
-    tensors = CoefficientTensor._from_dense(2, flat, 0.0)
-    return list(zip(tensors[0::2], tensors[1::2]))
+    return _from_dense(2, flat, 0.0).pairs()
 
 
-def _dense_route(pairs) -> list:
-    """decompose(reconstruct(a) @ reconstruct(b), 0.0) of each pair (a, b),
-    with one stacked transform each way."""
-    dense = _reconstruct_stack([c for pair in pairs for c in pair])
-    return _decompose_stack(dense[0::2] @ dense[1::2])
+def _dense_route(left, right):
+    """The stack of decompose(reconstruct(a) @ reconstruct(b), 0.0) of each
+    pair of members, with one stacked transform each way."""
+    return _decompose_stack(_reconstruct_stack(left) @ _reconstruct_stack(right))
 
 
 def _suite_closed_form(tally, rng, ledger: list) -> str:
@@ -218,12 +214,13 @@ def _suite_closed_form(tally, rng, ledger: list) -> str:
         tally.check(fam.confirmed, part="families")
     # against the dense route, which shares no code with the compose kernel
     basis = [_indicator(s) for s in sorted(ANTISYMMETRIC_GL4_SUPPORT)]
-    pairs = list(itertools.product(basis, repeat=2))
-    for got, want in zip(_compose_antisym_pairs(pairs, 0.0), _dense_route(pairs)):
-        tally.check(got == want, part="exhaustive antisym pairs")
-    pairs = _random_pairs(rng, _ANTISYM_GL4_CODES, 50)
-    got = _compose_antisym_pairs(pairs, 0.0)
-    errors = _coeff_distances(list(zip(got, _dense_route(pairs))))
+    left, right = _stack([a for a in basis for _ in basis]), _stack(basis * len(basis))
+    same = _coeff_distances(_compose_antisym(left, right, 0.0),
+                            _dense_route(left, right)) == 0
+    tally.check(np.count_nonzero(same), count=len(same), part="exhaustive antisym pairs")
+    left, right = _random_pairs(rng, _ANTISYM_GL4_CODES, 50)
+    errors = _coeff_distances(_compose_antisym(left, right, 0.0),
+                              _dense_route(left, right))
     tally.check(np.count_nonzero(errors <= 1e-12), errors.max(), len(errors),
                 part="random antisym pairs")
     return f"{tally.part_counts()} (worst error {tally.worst:.3e})"
@@ -240,7 +237,7 @@ def _suite_qvector(tally, rng) -> str:
 
         tally.check(np.all(d + d.T == 0))
 
-    cross = _coeff_distances(list(zip(_decompose_stack(np.array(dense)), cs)))
+    cross = _coeff_distances(_decompose_stack(np.array(dense)), _stack(cs))
     tally.check(np.count_nonzero(cross < 1e-12), cross.max(), len(cross))
     return f"round trip, exact antisymmetry, cross-path; worst error {tally.worst:.3e}"
 
@@ -250,9 +247,10 @@ def _suite_closed_classes(tally, rng) -> str:
     second_slot = {(0, 0), (0, 1), (0, 2), (0, 3)}
     for support in (first_slot, second_slot):
         codes = _codes(support)
-        allowed = set(codes.tolist())
-        for c in _compose_pairs(_random_pairs(rng, codes, 100), 0.0):
-            tally.check(set(c.codes.tolist()) <= allowed)
+        out = _compose(*_random_pairs(rng, codes, 100), 0.0)
+        outside = out.member()[~np.isin(out.untagged(), codes)]
+        closed = np.bincount(outside, minlength=out.members) == 0
+        tally.check(np.count_nonzero(closed), count=len(closed))
     # one antisymmetric-support pair escaping the six proves that class open
     escape = compose(_indicator((2, 0)), _indicator((2, 1)), tol=0.0)
     tally.check(not antisymmetric_mask(escape).all())

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from pauligl import CoefficientTensor
+from pauligl.decomposition import _stack
 
 settings.register_profile("repo", deadline=None)
 settings.load_profile("repo")
@@ -40,6 +41,11 @@ def tensor_outcome(f, *args, **kwargs):
     except Exception as exc:  # compared, never swallowed
         return type(exc), str(exc)
     return c.m, c.codes.tolist(), c.values.view(np.uint64).tolist()
+
+
+def stacks(pairs):
+    """The left and the right stack of a non-empty list of pairs of tensors."""
+    return _stack([a for a, _ in pairs]), _stack([b for _, b in pairs])
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pauligl import composition
 from pauligl.algebra import distinct_codes
+from pauligl.decomposition import _stack
 from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
                      CoefficientTensor, DimensionError, DomainError,
                      TABULATED_ANTISYM_COMPONENTS, coeff_distance, compose,
@@ -17,7 +18,8 @@ from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
                      multi_product, reconstruct, verify_closed_forms)
 
 from conftest import (coefficient_tensors, complex_coeffs, edge_floats,
-                      multi_indices, random_complex_matrix, tensor_outcome)
+                      multi_indices, random_complex_matrix, stacks,
+                      tensor_outcome)
 from reference import (reference_compose, reference_compose_antisym_gl4,
                        reference_derived_antisym_table, reference_family_errors)
 
@@ -388,7 +390,7 @@ class TestRoutes:
 def assert_stack_matches(pairs, tol):
     """Each member of one stacked call has the bits of its own one-pair call
     and of the reference."""
-    got = composition._compose_pairs(pairs, tol)
+    got = composition._compose(*stacks(pairs), tol).tensors()
     assert len(got) == len(pairs)
     for c, (a, b) in zip(got, pairs):
         assert tensor_outcome(lambda: c) == tensor_outcome(compose, a, b, tol)
@@ -468,14 +470,18 @@ class TestStackedCompose:
 
     @pytest.mark.parametrize("m, members", [(31, 4), (31, 5), (32, 1), (32, 3)])
     def test_tags_at_the_largest_orders(self, m, members):
-        # tags k << 62 of four members fill the 64 bits; past that, and at
-        # m = 32 with more than one member, the members run one at a time
+        # tags k << 62 of four members fill the 64 bits; a stack past that,
+        # and at m = 32 with more than one member, is refused when built
         rng = np.random.default_rng(m * members)
         pairs = [tuple(CoefficientTensor._from_codes(
             m, distinct_random_codes(rng, m, n), rng.standard_normal(n) + 0j, 0.0)
             for n in (3, 2)) for _ in range(members)]
-        assert composition._tags_fit(m, members) is (members <= 4 ** (32 - m))
-        assert_stack_matches(pairs, 0.0)
+        if members <= 4 ** (32 - m):
+            assert_stack_matches(pairs, 0.0)
+        else:
+            with pytest.raises(DimensionError, match=f"^a stack of {members} "
+                               f"order-{m} tensors does not fit"):
+                stacks(pairs)
 
     def test_stack_sizes_for_the_rule(self):
         # the rule reads the whole tagged space, and one member is the old rule
@@ -494,30 +500,31 @@ class TestStackedCompose:
         # s1 s2 = i s3 overflows at (3,)
         over = (CoefficientTensor(1, {(1,): 1e200}),
                 CoefficientTensor(1, {(2,): 1e200}))
-        left = (indicator((1,)), indicator((1, 0)))
-        right = (indicator((1, 0)), indicator((1,)))
-        # (stack, its first bad pair): orders are checked before any
-        # arithmetic, as in a lone call
-        stacks = [([fine, over, fine, cancel], over), ([fine, cancel, over], cancel),
-                  ([fine, left, right], left), ([fine, right, fine, left], right),
-                  ([over, left], left)]
-        for pairs, first in stacks:
+        # (stack, its first bad pair)
+        for pairs, first in [([fine, over, fine, cancel], over),
+                             ([fine, cancel, over], cancel)]:
             want = tensor_outcome(compose, *first, 0.0)
-            assert want[0] in (DomainError, DimensionError)
+            assert want[0] is DomainError
             with forced(route, block_pairs):
-                assert tensor_outcome(
-                    lambda: composition._compose_pairs(pairs, 0.0)[0]) == want
+                assert tensor_outcome(lambda: composition._compose(
+                    *stacks(pairs), 0.0).tensors()[0]) == want
 
     def test_a_member_of_another_order_is_refused(self):
-        pairs = [(indicator((1,)), indicator((2,))),
-                 (indicator((1, 0)), indicator((2, 0)))]
+        # a stack has one order, so two orders in one stack are refused when
+        # it is built; stacks of two orders fail as a lone call does
+        fine = (indicator((1,)), indicator((2,)))
+        left = (indicator((1,)), indicator((1, 0)))
+        right = (indicator((1, 0)), indicator((1,)))
+        for pairs in ([fine, left, right], [fine, right, fine, left], [fine, left]):
+            with pytest.raises(DimensionError, match=r"^tensor orders differ: 1 vs 2$"):
+                stacks(pairs)
         with pytest.raises(DimensionError, match=r"^tensor orders differ: 1 vs 2$"):
-            composition._compose_pairs(pairs, 0.0)
+            composition._compose(_stack([fine[0]]), _stack([left[1]]), 0.0)
 
     def test_tol_is_checked_once_for_the_stack(self):
         a = indicator((1,))
         with pytest.raises(DomainError, match="prune tolerance"):
-            composition._compose_pairs([(a, a), (a, a)], float("nan"))
+            composition._compose(*stacks([(a, a), (a, a)]), float("nan"))
 
 
 class TestComposeGl4:
@@ -636,7 +643,7 @@ class TestComposeAntisymGl4:
                   for _ in range(20)]
         for pairs in (list(itertools.product(basis, repeat=2)), random):
             for tol in (0.0, 0.5):
-                got = composition._compose_antisym_pairs(pairs, tol)
+                got = composition._compose_antisym(*stacks(pairs), tol).tensors()
                 assert [tensor_outcome(lambda: c) for c in got] == [
                     tensor_outcome(compose_antisym_gl4, a, b, tol) for a, b in pairs]
 
@@ -645,11 +652,18 @@ class TestComposeAntisymGl4:
         bad = CoefficientTensor(2, {(1, 1): 1.0})
         worse = CoefficientTensor(2, {(3, 3): 1.0})
         for pairs, first in (([(good, good), (good, bad), (worse, good)], (good, bad)),
-                             ([(good, good), (worse, bad), (good, bad)], (worse, bad)),
-                             ([(good, good), (good, indicator((2,)))],
-                              (good, indicator((2,))))):
-            assert (tensor_outcome(lambda: composition._compose_antisym_pairs(
-                pairs, 0.0)[0]) == tensor_outcome(compose_antisym_gl4, *first))
+                             ([(good, good), (worse, bad), (good, bad)], (worse, bad))):
+            assert (tensor_outcome(lambda: composition._compose_antisym(
+                *stacks(pairs), 0.0).tensors()[0])
+                == tensor_outcome(compose_antisym_gl4, *first))
+        # a stack has one order: a list of two is refused when it is built,
+        # and a stack of order 1 fails as its first pair does alone
+        with pytest.raises(DimensionError, match=r"^tensor orders differ: 2 vs 1$"):
+            stacks([(good, good), (good, indicator((2,)))])
+        pairs = [(good, indicator((2,))), (good, indicator((1,)))]
+        assert (tensor_outcome(lambda: composition._compose_antisym(
+            *stacks(pairs), 0.0).tensors()[0])
+            == tensor_outcome(compose_antisym_gl4, *pairs[0]))
 
     def test_rejects_outside_support(self):
         good = indicator((2, 0))

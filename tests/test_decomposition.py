@@ -13,14 +13,14 @@ from pauligl import (CoefficientTensor, DimensionError, DomainError,
 from pauligl.decomposition import (MAX_DENSE_BYTES, MAX_ORDER, _coeff_distances,
                                    _coeff_matrix, _coefficients,
                                    _decompose_stack, _kept,
-                                   _matrix_stacks, _reconstruct_stack,
+                                   _matrix_stacks, _reconstruct_stack, _stack,
                                    coefficient_array)
 
 NAN = float("nan")
 BIG = 1.7976931348623157e308
 
 from conftest import (coefficient_tensors, edge_floats, random_complex_matrix,
-                      tensor_outcome)
+                      stacks, tensor_outcome)
 from reference import (reference_coefficient_array,
                        reference_decompose_via_traces, reference_reconstruct)
 
@@ -411,9 +411,9 @@ def distance_by_index(a, b) -> float:
 
 
 @st.composite
-def distance_stacks(draw, max_m=3, max_members=8):
+def distance_stacks(draw, max_m=3, max_members=8,
+                    values=st.builds(complex, edge_floats, edge_floats)):
     m = draw(st.integers(1, max_m))
-    values = st.builds(complex, edge_floats, edge_floats)
     tensors = st.builds(lambda d: CoefficientTensor(m, d, tol=0.0),
                         st.dictionaries(st.tuples(*[st.integers(0, 3)] * m),
                                         values, max_size=6))
@@ -426,33 +426,88 @@ class TestStackedDistances:
 
     @given(distance_stacks())
     def test_members_match_lone_calls(self, pairs):
-        got = _coeff_distances(pairs).tolist()
+        got = _coeff_distances(*stacks(pairs)).tolist()
         assert got == [coeff_distance(a, b) for a, b in pairs]
         assert got == [distance_by_index(a, b) for a, b in pairs]
+
+    # verify reads a distance of 0 as ==; small supports over signed zeros
+    # and subnormals make equal pairs and pairs one sign or ulp apart common
+    @given(st.one_of(distance_stacks(), distance_stacks(max_m=1, values=st.builds(
+        complex, *[st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0])] * 2))))
+    def test_zero_distance_is_equality(self, pairs):
+        assert ((_coeff_distances(*stacks(pairs)) == 0).tolist()
+                == [a == b for a, b in pairs])
 
     def test_fixed_stack(self):
         empty = CoefficientTensor(2, {})
         a = CoefficientTensor(2, {(1, 0): 1.0, (3, 3): complex(BIG, BIG)})
         b = CoefficientTensor(2, {(1, 0): -0.5, (0, 2): 2j})
         pairs = [(empty, empty), (a, b), (b, a), (b, b), (empty, b), (a, a)]
-        got = _coeff_distances(pairs).tolist()
+        got = _coeff_distances(*stacks(pairs)).tolist()
         assert got == [coeff_distance(x, y) for x, y in pairs]
         assert got == [0.0, float("inf"), float("inf"), 0.0, 2.0, 0.0]
 
-    @pytest.mark.parametrize("m, members", [(31, 4), (31, 5), (32, 3)])
+    @pytest.mark.parametrize("m, members", [(31, 4), (31, 5), (32, 1), (32, 3)])
     def test_tags_at_the_largest_orders(self, m, members):
+        # tags k << 62 of four members fill the 64 bits; a stack past that
+        # is refused when it is built
         rng = np.random.default_rng(m + members)
         pairs = [tuple(CoefficientTensor(m, {tuple(rng.integers(0, 4, m).tolist()):
                                              complex(*rng.standard_normal(2))
                                              for _ in range(3)}, tol=0.0)
                        for _ in range(2)) for _ in range(members)]
-        assert _coeff_distances(pairs).tolist() == [
+        if members > 4 ** (32 - m):
+            with pytest.raises(DimensionError, match=f"^a stack of {members} "
+                               f"order-{m} tensors does not fit"):
+                stacks(pairs)
+            return
+        assert _coeff_distances(*stacks(pairs)).tolist() == [
             distance_by_index(a, b) for a, b in pairs]
 
     def test_first_order_mismatch_is_named(self):
+        # a stack has one order: the list builder names the first other
+        # order, and two stacks of different orders fail as a lone call does
         one, two = CoefficientTensor(1, {}), CoefficientTensor(2, {})
         with pytest.raises(DimensionError, match=r"^tensor orders differ: 2 vs 1$"):
-            _coeff_distances([(one, one), (two, one), (one, two)])
+            _stack([two, two, one, two])
+        with pytest.raises(DimensionError, match=r"^tensor orders differ: 2 vs 1$"):
+            _coeff_distances(_stack([two, two]), _stack([one, one]))
+
+
+class TestStack:
+    """The stack type at the boundary: what a conversion shares, copies and
+    refuses."""
+
+    def test_split_leaves_the_stack_as_it_was(self, rng):
+        tensors = [decompose(random_complex_matrix(rng, 4), 0.0) for _ in range(3)]
+        stack = _stack(tensors)
+        codes, values = stack.codes.copy(), stack.values.copy()
+        assert [tensor_outcome(lambda: c) for c in stack.tensors()] == [
+            tensor_outcome(lambda: c) for c in tensors]
+        assert np.array_equal(stack.codes, codes)
+        assert np.array_equal(stack.values, values)
+        assert not stack.codes.flags.writeable and not stack.values.flags.writeable
+
+    def test_pairs_split_a_stack_of_pairs(self, rng):
+        # verify draws each pair left then right, builds the draw as one stack
+        # and splits it; empty members must keep their places
+        tensors = [decompose(random_complex_matrix(rng, 4), 0.0) for _ in range(4)]
+        tensors[1:1] = [CoefficientTensor(2), CoefficientTensor(2, {(2, 1): 1.0})]
+        left, right = _stack(tensors).pairs()
+        for half, want in ((left, tensors[0::2]), (right, tensors[1::2])):
+            assert (half.m, half.members) == (2, 3)
+            assert [tensor_outcome(lambda: c) for c in half.tensors()] == [
+                tensor_outcome(lambda: c) for c in want]
+            assert not half.codes.flags.writeable and not half.values.flags.writeable
+
+    def test_one_member_shares_its_arrays(self):
+        c = CoefficientTensor(2, {(1, 0): 1.0, (3, 2): -2j})
+        stack = _stack([c])
+        assert stack.codes is c.codes and stack.values is c.values
+        back, = stack.tensors()
+        assert back == c
+        assert np.shares_memory(back.codes, c.codes)
+        assert np.shares_memory(back.values, c.values)
 
 
 def transform_corpus(rng, m):
@@ -564,11 +619,11 @@ class TestStackedTransforms:
             assert_same_bits(row.reshape((4,) * m), coefficient_array(a))
 
         finite = [a for name, a in corpus.items() if name != "near_overflow"]
-        got = _decompose_stack(np.array(finite))
+        got = _decompose_stack(np.array(finite)).tensors()
         assert ([tensor_outcome(lambda: c) for c in got]
                 == [tensor_outcome(decompose, a, 0.0) for a in finite])
         tensors = [dense_tensor(m, a) for a in finite]
-        for back, c in zip(_reconstruct_stack(tensors), tensors):
+        for back, c in zip(_reconstruct_stack(_stack(tensors)), tensors):
             assert_same_bits(back, reconstruct(c))
 
     @pytest.mark.parametrize("m", range(1, 5))
@@ -586,7 +641,7 @@ class TestStackedTransforms:
                     == raised(decompose, infinite, 0.0))
             tensors = [dense_tensor(m, a) for a in corpus.values()]
             tensors.insert(at, overflowing)
-            assert (raised(_reconstruct_stack, tensors)
+            assert (raised(_reconstruct_stack, _stack(tensors))
                     == raised(reconstruct, overflowing))
 
     @given(st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
@@ -603,7 +658,7 @@ class TestStackedTransforms:
         m = stack.shape[-1].bit_length() - 1
         for row, a in zip(_coefficients(stack, m), stack):
             assert_same_bits(row.reshape((4,) * m), coefficient_array(a))
-        assert ([tensor_outcome(lambda: c) for c in _decompose_stack(stack)]
+        assert ([tensor_outcome(lambda: c) for c in _decompose_stack(stack).tensors()]
                 == [tensor_outcome(decompose, a, 0.0) for a in stack])
         tensors = [dense_tensor(m, a) for a in stack]
         alone = []
@@ -614,9 +669,9 @@ class TestStackedTransforms:
                 alone.append(str(exc))
         messages = [a for a in alone if isinstance(a, str)]
         if messages:
-            assert raised(_reconstruct_stack, tensors) == messages[0]
+            assert raised(_reconstruct_stack, _stack(tensors)) == messages[0]
         else:
-            for back, want in zip(_reconstruct_stack(tensors), alone):
+            for back, want in zip(_reconstruct_stack(_stack(tensors)), alone):
                 assert_same_bits(back, want)
 
 

@@ -30,9 +30,10 @@ _qvector_to_dense = symmetry.qvector_to_dense
 _block_local_from_global = indexing.block_local_from_global
 _matrix_stacks = decomposition._matrix_stacks
 _row_blocks = composition._row_blocks
-_tagged_codes = decomposition._tagged_codes
+_compose = composition._compose
 _tally_check = verify._Tally.check
-_from_dense = decomposition.CoefficientTensor._from_dense.__func__
+_from_dense = decomposition._from_dense
+_transposed = symmetry._transposed
 
 
 def _modulus(values):
@@ -68,18 +69,13 @@ def row_cut_exclusive(i, j, cuts):
         local_row=np.where(on_cut, cuts.row_cut, loc.local_row))
 
 
-def unpruned_from_dense(cls, m, flat, tol):
-    out = []
-    for row in flat:
-        tensor = cls.__new__(cls)
-        tensor.m, tensor.codes = m, np.arange(row.size, dtype=np.uint64)
-        tensor.values = row.copy()
-        out.append(tensor)
-    return out
+def unpruned_from_dense(m, flat, tol):
+    return decomposition._Stack(m, np.arange(flat.size, dtype=np.uint64),
+                                flat.ravel().copy(), len(flat))
 
 
-def built_last_first(cls, m, flat, tol):
-    return _from_dense(cls, m, flat, tol)[::-1]
+def built_last_first(m, flat, tol):
+    return decomposition._stack(_from_dense(m, flat, tol).tensors()[::-1])
 
 
 def parts_swapped(rng, n, count, per=1):
@@ -91,9 +87,19 @@ def blocks_last_first(na, nb):
     return list(_row_blocks(na, nb))[::-1]
 
 
-def tag_off_by_one(tensors, m):
+def tag_off_by_one(left, right, tol):
     # member k's terms land in member k + 1's slots
-    return _tagged_codes(tensors, m) + (np.uint64(1) << np.uint64(2 * m))
+    shifted = left.codes + (np.uint64(1) << np.uint64(2 * left.m))
+    return _compose(decomposition._Stack(left.m, shifted, left.values, left.members),
+                    right, tol)
+
+
+def transposed_by_tagged_digits(stack):
+    # the sign flip reads the digit-2 parity of the whole tagged code
+    flip = (algebra.y_counts(stack.codes) & 1).astype(bool)
+    return decomposition._Stack(stack.m, stack.codes,
+                                np.where(flip, -stack.values, stack.values),
+                                stack.members)
 
 
 def failed_counted_as_passed(self, ok, error=None, count=1, part=None):
@@ -147,12 +153,14 @@ MUTANTS = [
             (indexing, "block_local_from_global", row_cut_exclusive)),
            frozenset({"bijection"})),
     Mutant("_from_dense skips its prune",
-           ((decomposition.CoefficientTensor, "_from_dense",
-             classmethod(unpruned_from_dense)),),
+           ((decomposition, "_from_dense", unpruned_from_dense),
+            (composition, "_from_dense", unpruned_from_dense),
+            (verify, "_from_dense", unpruned_from_dense)),
            frozenset({"closed-form"})),
     Mutant("the stacked builder returns its tensors last-first",
-           ((decomposition.CoefficientTensor, "_from_dense",
-             classmethod(built_last_first)),),
+           ((decomposition, "_from_dense", built_last_first),
+            (composition, "_from_dense", built_last_first),
+            (verify, "_from_dense", built_last_first)),
            frozenset({"round-trip", "homomorphism", "closed-form", "q-vector"})),
     Mutant("random matrix draw swaps real and imaginary parts",
            ((decomposition, "_matrix_stacks", parts_swapped),
@@ -175,8 +183,13 @@ MUTANTS = [
            frozenset(),
            test_composition.TestRoutes().test_blocks_add_onto_running_sums),
     Mutant("the member tag of compose is off by one",
-           ((composition, "_tagged_codes", tag_off_by_one),),
+           ((composition, "_compose", tag_off_by_one),
+            (verify, "_compose", tag_off_by_one)),
            frozenset({"homomorphism", "closed-form", "closed-classes"})),
+    Mutant("the stacked transpose reads the tag's digits",
+           ((symmetry, "_transposed", transposed_by_tagged_digits),
+            (verify, "_transposed", transposed_by_tagged_digits)),
+           frozenset({"transpose"})),
     Mutant("the tally counts a failed check as passed",
            ((verify._Tally, "check", failed_counted_as_passed),),
            frozenset(),

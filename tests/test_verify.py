@@ -1,4 +1,3 @@
-import itertools
 from unittest import mock
 
 import numpy as np
@@ -120,8 +119,8 @@ def test_random_tensor_matches_dict_build(name):
     support = sorted(SUPPORTS[name])
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        pairs = [p for count in (1, 3, 2)
-                 for p in _random_pairs(rng, _codes(support), count)]
+        pairs = [p for count in (1, 3, 2) for p in zip(
+            *(s.tensors() for s in _random_pairs(rng, _codes(support), count)))]
         for pair in pairs:
             for got in pair:
                 want = tensor_outcome(CoefficientTensor, 2, {
@@ -153,18 +152,18 @@ def test_stacked_pair_products_match_per_pair():
     # bits must be those of one 2-D @ per pair, whatever the BLAS kernel
     rngs = [np.random.default_rng(seed) for seed in range(10)]
     # the homomorphism suite's stacks, a then b
-    stacks = [dense for rng in rngs for n in (2, 4, 8)
-              for dense in verify._matrix_stacks(rng, n, 50, per=2)]
+    factors = [(dense[0::2], dense[1::2]) for rng in rngs for n in (2, 4, 8)
+               for dense in verify._matrix_stacks(rng, n, 50, per=2)]
     # the closed-form suite's dense route: the 36 exhaustive antisymmetric
     # pairs, and random antisymmetric pairs
     basis = [_indicator(s) for s in sorted(ANTISYMMETRIC_GL4_SUPPORT)]
-    routes = [list(itertools.product(basis, repeat=2))]
+    routes = [(decomposition._stack([a for a in basis for _ in basis]),
+               decomposition._stack(basis * len(basis)))]
     routes += [_random_pairs(rng, symmetry._ANTISYM_GL4_CODES, 50) for rng in rngs]
-    stacks += [decomposition._reconstruct_stack([c for pair in pairs for c in pair])
-               for pairs in routes]
-    for s in stacks:
-        got = s[0::2] @ s[1::2]
-        want = np.array([x @ y for x, y in zip(s[0::2], s[1::2])])
+    factors += [tuple(map(decomposition._reconstruct_stack, route)) for route in routes]
+    for left, right in factors:
+        got = left @ right
+        want = np.array([x @ y for x, y in zip(left, right)])
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
@@ -181,7 +180,7 @@ def test_dense_pair_matches_dict_build(values):
     A = np.array(values).reshape(4, 4)
     want = tensor_outcome(CoefficientTensor, 2, {
         (p, q): A[p, q] for p in range(4) for q in range(4)}, tol=0.0)
-    assert tensor_outcome(lambda: CoefficientTensor._from_dense(
-        2, A.reshape(1, -1), 0.0)[0]) == want
+    assert tensor_outcome(lambda: decomposition._from_dense(
+        2, A.reshape(1, -1), 0.0).tensors()[0]) == want
     assert tensor_outcome(CoefficientTensor._from_codes, 2,
                           np.arange(16, dtype=np.uint64), A.reshape(-1), 0.0) == want
