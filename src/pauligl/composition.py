@@ -29,7 +29,7 @@ from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor, _checked_tol,
                             _stack)
 from .errors import DimensionError, DomainError
 from .symmetry import (ANTISYMMETRIC_GL4_SUPPORT, _ANTISYM_GL4_CODES,
-                       _check_antisym_gl4_stacks)
+                       _check_antisym_gl4)
 
 __all__ = [
     "compose",
@@ -145,7 +145,7 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
     collects the sorted distinct output codes and each term's slot is
     found by binary search, so scratch memory is O(block + output).
     """
-    return _compose(_stack([a]), _stack([b]), tol).tensors()[0]
+    return _compose(_stack([a]), _stack([b]), tol).tensor()
 
 
 def _compose(left, right, tol: float):
@@ -272,13 +272,14 @@ def compose_antisym_gl4(a: CoefficientTensor, b: CoefficientTensor,
     Both inputs must be supported on the six antisymmetric basis indices.
     The output generally is not (the class is not closed under products).
     """
-    return _compose_antisym(_stack([a]), _stack([b]), tol).tensors()[0]
+    return _compose_antisym(_stack([a]), _stack([b]), tol).tensor()
 
 
 def _compose_antisym(left, right, tol: float):
-    """``compose_antisym_gl4`` of each pair of members; the first bad pair
-    raises what it raises alone."""
-    _check_antisym_gl4_stacks(left, right)
+    """``compose_antisym_gl4`` of each pair of members; the support check reads
+    the whole left stack, then the whole right one."""
+    _check_antisym_gl4(left, "left factor")
+    _check_antisym_gl4(right, "right factor")
     return _compose(left, right, tol)
 
 

@@ -8,7 +8,8 @@ generator basis; the coefficient attached to a multi-index is
 ``decompose`` evaluates this with a factorized transform (one 4x4 mixing pass
 per tensor factor, O(m * 4^m) total).  The transform and the stack type
 ``_Stack`` (tensors of one order in two tagged arrays) let ``verify`` pass
-whole stacks through; the public functions are their one-member case.
+whole stacks through; the public functions are their one-member case, and
+``_Stack.tensor()`` their one way back.  Only the tests split a stack.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class CoefficientTensor:
     def _from_codes(cls, m: int, codes: np.ndarray, values: np.ndarray,
                     tol: float) -> "CoefficientTensor":
         """Build from distinct in-range uint64 codes and their values, any order."""
-        stack = _from_tagged(_checked_order(m), codes, values, 1, _checked_tol(tol))
-        return _tensor(stack.m, stack.codes, stack.values)
+        return _from_tagged(_checked_order(m), codes, values, 1,
+                            _checked_tol(tol)).tensor()
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -138,13 +139,6 @@ class CoefficientTensor:
 
     def __repr__(self) -> str:
         return f"CoefficientTensor(m={self.m}, nnz={len(self.codes)})"
-
-
-def _tensor(m: int, codes: np.ndarray, values: np.ndarray) -> CoefficientTensor:
-    """A tensor on read-only canonical arrays, which it keeps as they are."""
-    out = CoefficientTensor.__new__(CoefficientTensor)
-    out.m, out.codes, out.values = m, codes, values
-    return out
 
 
 class _Stack:
@@ -179,13 +173,11 @@ class _Stack:
         return tuple(_Stack(self.m, tags[s] | low[s], self.values[s], self.members // 2)
                      for s in (member & 1 == 0, member & 1 == 1))
 
-    def tensors(self) -> list:
-        """One tensor per member (one member shares the arrays); the stack is unchanged."""
-        codes = self.codes if self.members == 1 else self.untagged()
-        codes.flags.writeable = False
-        bounds = [0, *np.cumsum(self.sizes()).tolist()]
-        return [_tensor(self.m, codes[lo:hi], self.values[lo:hi])
-                for lo, hi in zip(bounds, bounds[1:])]
+    def tensor(self) -> CoefficientTensor:
+        """The tensor of a one-member stack, on the stack's own arrays."""
+        out = CoefficientTensor.__new__(CoefficientTensor)
+        out.m, out.codes, out.values = self.m, self.codes, self.values
+        return out
 
     def dense(self) -> np.ndarray:
         """The ``(members, 4**m)`` coefficient array, one scatter at the tagged codes."""
@@ -238,13 +230,6 @@ def _from_dense(m: int, flat: np.ndarray, tol: float) -> _Stack:
                           "non-finite or overflowing entry")
     pos = np.flatnonzero(_kept(flat, tol))
     return _Stack(m, pos.astype(np.uint64), flat.ravel()[pos], len(flat))
-
-
-def _coeff_matrix(c: CoefficientTensor) -> np.ndarray:
-    """The 16 coefficients of an order-2 tensor as a 4x4 array indexed by digits."""
-    if c.m != 2:
-        raise DimensionError(f"closed form requires tensor order 2, got {c.m}")
-    return _stack([c]).dense().reshape(4, 4)
 
 
 def coeff_distance(a: CoefficientTensor, b: CoefficientTensor) -> float:
@@ -373,7 +358,7 @@ def decompose(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
     """
     _checked_tol(tol)
     c = coefficient_array(matrix)
-    return _from_dense(c.ndim, c.reshape(1, -1), tol).tensors()[0]
+    return _from_dense(c.ndim, c.reshape(1, -1), tol).tensor()
 
 
 def _decompose_stack(stack: np.ndarray) -> _Stack:

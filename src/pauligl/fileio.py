@@ -183,7 +183,10 @@ def parse_matrix(text: str) -> np.ndarray:
     if found != n:
         bad = found + 2 if found < n else n + 2
         raise FileFormatError(f"expected {n} rows, found {found}", line=bad)
-    out = np.empty((n, n), dtype=complex)
+    # a valid file spends 4 characters or more per entry ("0,0" and a separator);
+    # a shorter one has a bad row, found in one row of scratch, not in n * n
+    fits = len(text) >= 4 * n * n
+    out = np.empty((n if fits else 1, n), dtype=complex)
     reals = out.view(float)  # row i holds re, im, re, im, ... of matrix row i
     blocks = _line_blocks(text)
     rows = itertools.chain(next(blocks)[1:], itertools.chain.from_iterable(blocks))
@@ -191,8 +194,9 @@ def parse_matrix(text: str) -> np.ndarray:
     for i, raw in enumerate(rows):
         tokens = raw.split()
         if len(tokens) == n and row_re.match(" ".join(tokens)):
-            reals[i] = list(map(float, ",".join(tokens).split(",")))
-            if np.isfinite(reals[i]).all():
+            row = reals[i if fits else 0]
+            row[:] = list(map(float, ",".join(tokens).split(",")))
+            if np.isfinite(row).all():
                 continue
         _raise_row_error(tokens, n, i + 2)
     return out

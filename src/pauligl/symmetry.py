@@ -6,8 +6,9 @@ sign, so a Kronecker basis element is antisymmetric exactly when it contains
 an odd number of index-2 factors.  That makes the transpose a diagonal sign
 mask in coefficient space and lets symmetric/antisymmetric projection act by
 support filtering.  Transpose, classification, projection and the
-antisymmetric-support checks all read one mask, ``antisymmetric_mask``: the
-parity of ``y_counts`` over the packed codes.
+antisymmetric-support check all read one mask, ``antisymmetric_mask``: the
+parity of ``y_counts`` over the packed codes, tags masked off, so the check
+reads a tensor and a whole stack alike.
 
 For 4x4 antisymmetric matrices built from two real 3-vectors a and b (the
 complex combination q = a + i*b), this module also provides the conversions
@@ -32,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EPSILON, code_digits, pack_index, validate_multi_index, y_counts
-from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor, _coeff_matrix,
-                            _Stack, _stack)
+from .decomposition import DEFAULT_PRUNE_TOL, CoefficientTensor, _Stack, _stack
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -84,8 +84,9 @@ def antisymmetric_mask(c: CoefficientTensor) -> np.ndarray:
 
 
 def _check_antisym_gl4(c: CoefficientTensor, operand: str) -> None:
-    """Refuse a tensor that is not of order 2 on the six antisymmetric
-    indices, with an error that names it as ``operand``."""
+    """Refuse a tensor or a stack that is not of order 2 on the six
+    antisymmetric indices, with an error that names it as ``operand`` and
+    lists each outside index in stack order."""
     if c.m != 2:
         raise DimensionError(f"{operand} must have tensor order 2, got {c.m}")
     outside = c.codes[~antisymmetric_mask(c)]
@@ -95,21 +96,12 @@ def _check_antisym_gl4(c: CoefficientTensor, operand: str) -> None:
                           f"antisymmetric indices: {indices}")
 
 
-def _check_antisym_gl4_stacks(left: _Stack, right: _Stack) -> None:
-    """``_check_antisym_gl4`` of each pair of members, left before right."""
-    if not (left.m == right.m == 2 and antisymmetric_mask(left).all()
-            and antisymmetric_mask(right).all()):
-        for a, b in zip(left.tensors(), right.tensors()):
-            _check_antisym_gl4(a, "left factor")
-            _check_antisym_gl4(b, "right factor")
-
-
 def transpose_coeffs(c: CoefficientTensor) -> CoefficientTensor:
     """Coefficients of the transposed matrix: sign flip per index-2 factor.
 
     Exact involution; reconstruct(transpose_coeffs(c)) is the dense transpose.
     """
-    return _transposed(_stack([c])).tensors()[0]
+    return _transposed(_stack([c])).tensor()
 
 
 def _transposed(stack: _Stack) -> _Stack:
@@ -164,7 +156,7 @@ def coeffs_to_qvector(c: CoefficientTensor) -> QVector:
     b off the real axis (beyond REALNESS_TOL) are rejected.
     """
     _check_antisym_gl4(c, "q-vector input")
-    A = _coeff_matrix(c).tolist()
+    A = _stack([c]).dense().reshape(4, 4).tolist()
     a = (1j * (A[2][1] - A[1][2]),
          1j * (-A[2][0] - A[2][3]),
          1j * (A[0][2] + A[3][2]))

@@ -201,7 +201,7 @@ def _random_pairs(rng, codes: np.ndarray, count: int) -> tuple:
     return _from_dense(2, flat, 0.0).pairs()
 
 
-def _dense_route(left, right):
+def _dense_products(left, right):
     """The stack of decompose(reconstruct(a) @ reconstruct(b), 0.0) of each
     pair of members, with one stacked transform each way."""
     return _decompose_stack(_reconstruct_stack(left) @ _reconstruct_stack(right))
@@ -216,11 +216,11 @@ def _suite_closed_form(tally, rng, ledger: list) -> str:
     basis = [_indicator(s) for s in sorted(ANTISYMMETRIC_GL4_SUPPORT)]
     left, right = _stack([a for a in basis for _ in basis]), _stack(basis * len(basis))
     same = _coeff_distances(_compose_antisym(left, right, 0.0),
-                            _dense_route(left, right)) == 0
+                            _dense_products(left, right)) == 0
     tally.check(np.count_nonzero(same), count=len(same), part="exhaustive antisym pairs")
     left, right = _random_pairs(rng, _ANTISYM_GL4_CODES, 50)
     errors = _coeff_distances(_compose_antisym(left, right, 0.0),
-                              _dense_route(left, right))
+                              _dense_products(left, right))
     tally.check(np.count_nonzero(errors <= 1e-12), errors.max(), len(errors),
                 part="random antisym pairs")
     return f"{tally.part_counts()} (worst error {tally.worst:.3e})"

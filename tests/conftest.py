@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from pauligl import CoefficientTensor
-from pauligl.decomposition import _stack
+from pauligl.decomposition import _Stack, _stack
 
 settings.register_profile("repo", deadline=None)
 settings.load_profile("repo")
@@ -46,6 +46,17 @@ def tensor_outcome(f, *args, **kwargs):
 def stacks(pairs):
     """The left and the right stack of a non-empty list of pairs of tensors."""
     return _stack([a for a, _ in pairs]), _stack([b for _, b in pairs])
+
+
+def member_tensors(stack):
+    """One tensor per member of a stack, on one untagged copy of its codes and
+    views of its values; the stack is left as it is.  The tests' per-member
+    oracle: shipped code only ever turns a one-member stack into a tensor."""
+    codes = stack.untagged()
+    codes.flags.writeable = False
+    bounds = [0, *np.cumsum(stack.sizes()).tolist()]
+    return [_Stack(stack.m, codes[lo:hi], stack.values[lo:hi], 1).tensor()
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 @pytest.fixture

@@ -42,7 +42,7 @@ from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
                      FileFormatError, basis_element, compose, multi_product)
 from pauligl.composition import _gl4_product_array
 from pauligl.decomposition import (_FORWARD, _INVERSE, MAX_ORDER, _as_square,
-                                   _checked_tol, _coeff_matrix, _order_of)
+                                   _checked_tol, _order_of)
 from pauligl.symmetry import _check_antisym_gl4
 
 
@@ -301,6 +301,15 @@ def reference_derived_antisym_table() -> dict:
 
 
 _REF_ANTISYM_TABLE = reference_derived_antisym_table()
+
+
+def _coeff_matrix(c) -> np.ndarray:
+    """The 16 coefficients of an order-2 tensor as a 4x4 array indexed by
+    digits, read from its mapping one entry at a time."""
+    A = np.zeros((4, 4), dtype=complex)
+    for (p, q), value in c.coeffs.items():
+        A[p, q] = value
+    return A
 
 
 def reference_compose_antisym_gl4(a, b, tol=DEFAULT_PRUNE_TOL):

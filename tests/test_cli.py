@@ -86,6 +86,16 @@ class TestDecompose:
         code, _, err = run_cli(capsys, command, path)
         assert code == 2 and "line 1" in err
 
+    def test_short_matrix_file_reports_its_bad_row(self, tmp_path):
+        # in a fresh process: 400 KB of text whose header claims a
+        # 100000 x 100000 matrix is refused at its first row, with no
+        # attempt to allocate the 160 GB array
+        path = write(tmp_path / "a.cmat", "100000\n" + "0,0\n" * 100000)
+        proc = subprocess.run([sys.executable, "-m", "pauligl", "decompose", path],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: line 2: expected 100000 entries, found 1\n")
+
 
 class TestReconstruct:
     def test_round_trip_via_files(self, tmp_path, capsys, rng):

@@ -18,8 +18,8 @@ from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
                      multi_product, reconstruct, verify_closed_forms)
 
 from conftest import (coefficient_tensors, complex_coeffs, edge_floats,
-                      multi_indices, random_complex_matrix, stacks,
-                      tensor_outcome)
+                      member_tensors, multi_indices, random_complex_matrix,
+                      stacks, tensor_outcome)
 from reference import (reference_compose, reference_compose_antisym_gl4,
                        reference_derived_antisym_table, reference_family_errors)
 
@@ -294,6 +294,7 @@ def random_operand(rng, m, n):
     return CoefficientTensor._from_codes(m, codes, values, 0.0)
 
 
+@pytest.mark.bits
 class TestRoutes:
     """The dense-slot and the sorted-code accumulator give the same bits."""
 
@@ -390,7 +391,7 @@ class TestRoutes:
 def assert_stack_matches(pairs, tol):
     """Each member of one stacked call has the bits of its own one-pair call
     and of the reference."""
-    got = composition._compose(*stacks(pairs), tol).tensors()
+    got = member_tensors(composition._compose(*stacks(pairs), tol))
     assert len(got) == len(pairs)
     for c, (a, b) in zip(got, pairs):
         assert tensor_outcome(lambda: c) == tensor_outcome(compose, a, b, tol)
@@ -437,6 +438,7 @@ def distinct_random_codes(rng, m, n):
     return distinct_codes(rng.integers(0, 4 ** m, size=n, dtype=np.uint64))
 
 
+@pytest.mark.bits
 class TestStackedCompose:
     """One stacked call gives each member the bits of its own call."""
 
@@ -506,8 +508,7 @@ class TestStackedCompose:
             want = tensor_outcome(compose, *first, 0.0)
             assert want[0] is DomainError
             with forced(route, block_pairs):
-                assert tensor_outcome(lambda: composition._compose(
-                    *stacks(pairs), 0.0).tensors()[0]) == want
+                assert tensor_outcome(composition._compose, *stacks(pairs), 0.0) == want
 
     def test_a_member_of_another_order_is_refused(self):
         # a stack has one order, so two orders in one stack are refused when
@@ -643,27 +644,37 @@ class TestComposeAntisymGl4:
                   for _ in range(20)]
         for pairs in (list(itertools.product(basis, repeat=2)), random):
             for tol in (0.0, 0.5):
-                got = composition._compose_antisym(*stacks(pairs), tol).tensors()
+                got = member_tensors(composition._compose_antisym(*stacks(pairs), tol))
                 assert [tensor_outcome(lambda: c) for c in got] == [
                     tensor_outcome(compose_antisym_gl4, a, b, tol) for a, b in pairs]
 
-    def test_stacked_support_error_names_the_first_bad_member(self):
+    def test_stacked_support_error_names_the_first_bad_side(self):
+        # the lone check reads a whole stack: any bad left member is named
+        # before a bad right one, with every outside index of its side, in
+        # stack order
         good = indicator((2, 0))
         bad = CoefficientTensor(2, {(1, 1): 1.0})
-        worse = CoefficientTensor(2, {(3, 3): 1.0})
-        for pairs, first in (([(good, good), (good, bad), (worse, good)], (good, bad)),
-                             ([(good, good), (worse, bad), (good, bad)], (worse, bad))):
-            assert (tensor_outcome(lambda: composition._compose_antisym(
-                *stacks(pairs), 0.0).tensors()[0])
-                == tensor_outcome(compose_antisym_gl4, *first))
+        worse = CoefficientTensor(2, {(0, 0): 2.0, (3, 3): 1.0})
+        for pairs, side, outside in (
+                ([(good, good), (good, bad), (worse, good)], "left", "(0, 0), (3, 3)"),
+                ([(good, good), (worse, bad), (bad, good)], "left",
+                 "(0, 0), (3, 3), (1, 1)"),
+                ([(good, bad), (good, good), (good, worse)], "right",
+                 "(1, 1), (0, 0), (3, 3)")):
+            got = tensor_outcome(composition._compose_antisym, *stacks(pairs), 0.0)
+            assert got == (DomainError, f"{side} factor has support outside the "
+                           f"six antisymmetric indices: [{outside}]")
+        # one pair raises what it raises alone
+        for pair in ((good, bad), (worse, bad), (bad, indicator((2,)))):
+            assert (tensor_outcome(composition._compose_antisym, *stacks([pair]), 0.0)
+                    == tensor_outcome(compose_antisym_gl4, *pair))
         # a stack has one order: a list of two is refused when it is built,
         # and a stack of order 1 fails as its first pair does alone
         with pytest.raises(DimensionError, match=r"^tensor orders differ: 2 vs 1$"):
             stacks([(good, good), (good, indicator((2,)))])
         pairs = [(good, indicator((2,))), (good, indicator((1,)))]
-        assert (tensor_outcome(lambda: composition._compose_antisym(
-            *stacks(pairs), 0.0).tensors()[0])
-            == tensor_outcome(compose_antisym_gl4, *pairs[0]))
+        assert (tensor_outcome(composition._compose_antisym, *stacks(pairs), 0.0)
+                == tensor_outcome(compose_antisym_gl4, *pairs[0]))
 
     def test_rejects_outside_support(self):
         good = indicator((2, 0))

@@ -11,16 +11,15 @@ from pauligl import (CoefficientTensor, DimensionError, DomainError,
                      basis_element, coeff_distance, compose, decompose,
                      lex_local_from_global, pauli_matrix, reconstruct)
 from pauligl.decomposition import (MAX_DENSE_BYTES, MAX_ORDER, _coeff_distances,
-                                   _coeff_matrix, _coefficients,
-                                   _decompose_stack, _kept,
+                                   _coefficients, _decompose_stack, _kept,
                                    _matrix_stacks, _reconstruct_stack, _stack,
                                    coefficient_array)
 
 NAN = float("nan")
 BIG = 1.7976931348623157e308
 
-from conftest import (coefficient_tensors, edge_floats, random_complex_matrix,
-                      stacks, tensor_outcome)
+from conftest import (coefficient_tensors, edge_floats, member_tensors,
+                      random_complex_matrix, stacks, tensor_outcome)
 from reference import (reference_coefficient_array,
                        reference_decompose_via_traces, reference_reconstruct)
 
@@ -382,11 +381,6 @@ class TestCoeffDistance:
         with pytest.raises(DimensionError):
             coeff_distance(CoefficientTensor(1, {}), CoefficientTensor(2, {}))
 
-    def test_coeff_matrix_needs_order_two(self):
-        with pytest.raises(DimensionError,
-                           match=r"^closed form requires tensor order 2, got 3$"):
-            _coeff_matrix(CoefficientTensor(3, {}))
-
     def test_overflowing_distance_is_inf(self):
         # no RuntimeWarning either: the test run turns those into errors
         a = CoefficientTensor(1, {(1,): complex(BIG, BIG)})
@@ -421,6 +415,7 @@ def distance_stacks(draw, max_m=3, max_members=8,
                          max_size=max_members))
 
 
+@pytest.mark.bits
 class TestStackedDistances:
     """One stacked call gives each pair the distance of its own call."""
 
@@ -478,16 +473,6 @@ class TestStack:
     """The stack type at the boundary: what a conversion shares, copies and
     refuses."""
 
-    def test_split_leaves_the_stack_as_it_was(self, rng):
-        tensors = [decompose(random_complex_matrix(rng, 4), 0.0) for _ in range(3)]
-        stack = _stack(tensors)
-        codes, values = stack.codes.copy(), stack.values.copy()
-        assert [tensor_outcome(lambda: c) for c in stack.tensors()] == [
-            tensor_outcome(lambda: c) for c in tensors]
-        assert np.array_equal(stack.codes, codes)
-        assert np.array_equal(stack.values, values)
-        assert not stack.codes.flags.writeable and not stack.values.flags.writeable
-
     def test_pairs_split_a_stack_of_pairs(self, rng):
         # verify draws each pair left then right, builds the draw as one stack
         # and splits it; empty members must keep their places
@@ -496,7 +481,7 @@ class TestStack:
         left, right = _stack(tensors).pairs()
         for half, want in ((left, tensors[0::2]), (right, tensors[1::2])):
             assert (half.m, half.members) == (2, 3)
-            assert [tensor_outcome(lambda: c) for c in half.tensors()] == [
+            assert [tensor_outcome(lambda: c) for c in member_tensors(half)] == [
                 tensor_outcome(lambda: c) for c in want]
             assert not half.codes.flags.writeable and not half.values.flags.writeable
 
@@ -504,10 +489,9 @@ class TestStack:
         c = CoefficientTensor(2, {(1, 0): 1.0, (3, 2): -2j})
         stack = _stack([c])
         assert stack.codes is c.codes and stack.values is c.values
-        back, = stack.tensors()
+        back = stack.tensor()
         assert back == c
-        assert np.shares_memory(back.codes, c.codes)
-        assert np.shares_memory(back.values, c.values)
+        assert back.codes is c.codes and back.values is c.values
 
 
 def transform_corpus(rng, m):
@@ -558,6 +542,7 @@ def dense_tensor(m, values):
         m, np.arange(4 ** m, dtype=np.uint64), values.reshape(-1), 0.0)
 
 
+@pytest.mark.bits
 class TestTransformMatchesReference:
     """The one-matmul-per-factor transform against the tensordot oracle."""
 
@@ -608,6 +593,7 @@ def raised(f, *args):
     return str(info.value)
 
 
+@pytest.mark.bits
 class TestStackedTransforms:
     """A stack through one transform gives each member the bits of its own call."""
 
@@ -619,7 +605,7 @@ class TestStackedTransforms:
             assert_same_bits(row.reshape((4,) * m), coefficient_array(a))
 
         finite = [a for name, a in corpus.items() if name != "near_overflow"]
-        got = _decompose_stack(np.array(finite)).tensors()
+        got = member_tensors(_decompose_stack(np.array(finite)))
         assert ([tensor_outcome(lambda: c) for c in got]
                 == [tensor_outcome(decompose, a, 0.0) for a in finite])
         tensors = [dense_tensor(m, a) for a in finite]
@@ -658,7 +644,8 @@ class TestStackedTransforms:
         m = stack.shape[-1].bit_length() - 1
         for row, a in zip(_coefficients(stack, m), stack):
             assert_same_bits(row.reshape((4,) * m), coefficient_array(a))
-        assert ([tensor_outcome(lambda: c) for c in _decompose_stack(stack).tensors()]
+        got = member_tensors(_decompose_stack(stack))
+        assert ([tensor_outcome(lambda: c) for c in got]
                 == [tensor_outcome(decompose, a, 0.0) for a in stack])
         tensors = [dense_tensor(m, a) for a in stack]
         alone = []

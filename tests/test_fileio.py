@@ -130,6 +130,20 @@ class TestMatrixFiles:
         with pytest.raises(FileFormatError):
             parse_matrix("1\ninf,0\n")
 
+    def test_short_file_is_refused_before_the_array_is_made(self):
+        # 8 KB of text cannot hold the 2000 x 2000 entries its header
+        # claims, so the 64 MB array is never made
+        n = 2000
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError,
+                               match=f"^line 2: expected {n} entries, found 1$"):
+                parse_matrix(f"{n}\n" + "0,0\n" * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
 
 class TestCoefficientFiles:
     def test_known_form(self):
@@ -428,6 +442,11 @@ class TestParseMatchesReference:
         # a bad last entry after many good ones
         "1\n" + "1" * 40 + ",0\n",
         "4\n" + "1234,5678 " * 3 + "x,1\n" + "0,0 0,0 0,0 0,0\n" * 3,
+        # too short for 4 characters per entry, so checked on one row of
+        # scratch: good rows before the bad one, and a non-finite entry
+        "3\n0,0 0,0 0,0\n0,0 0,0 0,0\n0,0\n", "3\n1e999,0 0,0 0,0\n0\n0\n",
+        # the shortest file of side 2, which fits
+        "2\n0,0 0,0\n0,0 0,0",
     ]
 
     @pytest.mark.parametrize("block_chars", [0, 10, None])

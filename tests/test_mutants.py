@@ -23,6 +23,8 @@ import test_verify
 from pauligl import algebra, composition, decomposition, indexing, symmetry, verify
 from pauligl.verify import run_verification
 
+from conftest import member_tensors
+
 _code_product = algebra.code_product
 _antisymmetric_mask = symmetry.antisymmetric_mask
 _distinct_codes = algebra.distinct_codes
@@ -75,7 +77,7 @@ def unpruned_from_dense(m, flat, tol):
 
 
 def built_last_first(m, flat, tol):
-    return decomposition._stack(_from_dense(m, flat, tol).tensors()[::-1])
+    return decomposition._stack(member_tensors(_from_dense(m, flat, tol))[::-1])
 
 
 def parts_swapped(rng, n, count, per=1):

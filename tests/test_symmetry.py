@@ -230,3 +230,20 @@ class TestAntisymmetricOperandCheck:
             call(c)
         assert str(exc.value) == (f"{operand} has support outside the six "
                                   "antisymmetric indices: [(1, 1), (3, 3)]")
+
+    # both operands bad: the left one is named, its order before its support
+    @pytest.mark.parametrize("left, right, error, text", [
+        ({(1, 1): 1.0}, {(3, 3): 1.0}, DomainError,
+         "left factor has support outside the six antisymmetric indices: [(1, 1)]"),
+        ({(1, 1): 1.0}, {(2, 2, 2): 1.0}, DomainError,
+         "left factor has support outside the six antisymmetric indices: [(1, 1)]"),
+        ({(2,): 1.0}, {(3, 3): 1.0}, DimensionError,
+         "left factor must have tensor order 2, got 1"),
+        ({(2,): 1.0}, {(2, 2, 2): 1.0}, DimensionError,
+         "left factor must have tensor order 2, got 1"),
+    ], ids=["support-support", "support-order", "order-support", "order-order"])
+    def test_left_operand_first(self, left, right, error, text):
+        a, b = (CoefficientTensor(len(next(iter(c))), c) for c in (left, right))
+        with pytest.raises(error) as exc:
+            compose_antisym_gl4(a, b)
+        assert str(exc.value) == text

@@ -9,7 +9,7 @@ from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor, composition,
 from pauligl.cli import dispatch
 from pauligl.verify import _codes, _indicator, _random_pairs, run_verification
 
-from conftest import edge_floats, tensor_outcome
+from conftest import edge_floats, member_tensors, tensor_outcome
 
 # The counts each suite reports whatever the seed and the BLAS: every check
 # of these suites is exact or far inside its bound.
@@ -120,7 +120,7 @@ def test_random_tensor_matches_dict_build(name):
     for seed in range(20):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         pairs = [p for count in (1, 3, 2) for p in zip(
-            *(s.tensors() for s in _random_pairs(rng, _codes(support), count)))]
+            *map(member_tensors, _random_pairs(rng, _codes(support), count)))]
         for pair in pairs:
             for got in pair:
                 want = tensor_outcome(CoefficientTensor, 2, {
@@ -146,6 +146,7 @@ def test_random_matrices_match_two_call_stream():
         assert rng.standard_normal() == ref_rng.standard_normal()
 
 
+@pytest.mark.bits
 def test_stacked_pair_products_match_per_pair():
     # verify forms each pair's dense product x @ y in one stacked @; numpy
     # makes one product per member, of the shape a lone call makes, so the
@@ -180,7 +181,7 @@ def test_dense_pair_matches_dict_build(values):
     A = np.array(values).reshape(4, 4)
     want = tensor_outcome(CoefficientTensor, 2, {
         (p, q): A[p, q] for p in range(4) for q in range(4)}, tol=0.0)
-    assert tensor_outcome(lambda: decomposition._from_dense(
-        2, A.reshape(1, -1), 0.0).tensors()[0]) == want
+    assert tensor_outcome(lambda: member_tensors(decomposition._from_dense(
+        2, A.reshape(1, -1), 0.0))[0]) == want
     assert tensor_outcome(CoefficientTensor._from_codes, 2,
                           np.arange(16, dtype=np.uint64), A.reshape(-1), 0.0) == want
