@@ -141,9 +141,10 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
     When all 4^m output slots fit in ``_DENSE_MAX_BYTES`` (m <= 8) and there
     is at least one term pair per ``_DENSE_SLOTS_PER_PAIR`` slots, each term
     is added into a zeroed slot per output code, indexed by the product
-    code itself, and the nonzero slots are kept.  Otherwise a first pass
-    collects the sorted distinct output codes and each term's slot is
-    found by binary search, so scratch memory is O(block + output).
+    code itself, and every slot is listed for the stack builder to prune.
+    Otherwise a first pass collects the sorted distinct output codes and
+    each term's slot is found by binary search, so scratch memory is
+    O(block + output).
     """
     return _compose(_stack([a]), _stack([b]), tol).tensor()
 
@@ -159,9 +160,11 @@ def _compose(left, right, tol: float):
     na, nb = left.sizes().tolist(), right.sizes().tolist()
     ca, cb, va, vb = left.codes, right.untagged(), left.values, right.values
     dense = _dense_route(m, sum(x * y for x, y in zip(na, nb)), members)
-    out = None if dense else _output_codes(ca, cb, _row_blocks(na, nb))
-    acc = np.zeros(members * 4 ** m if dense else len(out), dtype=complex)
-    # an overflow shows up as a non-finite sum, which _from_tagged rejects
+    out = (np.arange(members * 4 ** m, dtype=np.uint64) if dense
+           else _output_codes(ca, cb, _row_blocks(na, nb)))
+    acc = np.zeros(len(out), dtype=complex)
+    # _from_tagged rejects a non-finite sum (an overflow) and prunes the
+    # slots that stay 0, whether no term reached them or their terms cancel
     with np.errstate(over="ignore", invalid="ignore"):
         for ia, ib in _row_blocks(na, nb):
             prod, exponent = code_product(ca[ia], cb[ib])
@@ -174,12 +177,6 @@ def _compose(left, right, tol: float):
                    else np.searchsorted(out, prod.ravel()))
             np.add.at(acc.real, pos, (pr * fr - pi * fi).ravel())
             np.add.at(acc.imag, pos, (pr * fi + pi * fr).ravel())
-    if dense:
-        # a slot that no term reached, or whose terms cancel, is 0 and would
-        # be pruned anyway; nan and inf are nonzero and stay to be rejected
-        # (acc != 0 is np.nonzero's own test, and twice as fast on complex)
-        out = np.flatnonzero(acc != 0).astype(np.uint64)
-        acc = acc[out]
     return _from_tagged(m, out, acc, members, tol)
 
 

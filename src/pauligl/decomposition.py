@@ -9,7 +9,8 @@ generator basis; the coefficient attached to a multi-index is
 per tensor factor, O(m * 4^m) total).  The transform and the stack type
 ``_Stack`` (tensors of one order in two tagged arrays) let ``verify`` pass
 whole stacks through; the public functions are their one-member case, and
-``_Stack.tensor()`` their one way back.  Only the tests split a stack.
+``_Stack.tensor()`` their one way back.  Only the tests turn a stack of
+more members into tensors; shipped code splits one only by ``pairs()``.
 """
 
 from __future__ import annotations

@@ -115,11 +115,12 @@ def project(c: CoefficientTensor, kind: SymmetryKind) -> CoefficientTensor:
     """Keep exactly the coefficients whose basis element has the given symmetry.
 
     Equals the coefficients of (A + A^T)/2 (symmetric) or (A - A^T)/2
-    (antisymmetric); the two projections sum back to c.
+    (antisymmetric); the two projections sum back to c.  A subset of a
+    canonical tensor is canonical, so nothing is rebuilt.
     """
     kind = SymmetryKind(kind)
     keep = antisymmetric_mask(c) == (kind is SymmetryKind.ANTISYMMETRIC)
-    return CoefficientTensor._from_codes(c.m, c.codes[keep], c.values[keep], 0.0)
+    return _Stack(c.m, c.codes[keep], c.values[keep], 1).tensor()
 
 
 @dataclass(frozen=True)

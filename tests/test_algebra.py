@@ -50,10 +50,16 @@ class TestEpsilon:
 
 class TestPhase:
     def test_group_is_cyclic_of_order_four(self):
+        # all 16 products of Phase.__mul__ against those of to_complex()
         values = [Phase.PLUS_ONE, Phase.PLUS_I, Phase.MINUS_ONE, Phase.MINUS_I]
         for a in values:
             for b in values:
                 assert (a * b).to_complex() == a.to_complex() * b.to_complex()
+        # +i generates the group: its powers run through every member once
+        powers = [Phase.PLUS_ONE]
+        for _ in range(4):
+            powers.append(powers[-1] * Phase.PLUS_I)
+        assert powers == [*values, Phase.PLUS_ONE]
 
     def test_associativity_exhaustive(self):
         for a, b, c in itertools.product(Phase, repeat=3):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
+import pathlib
 import re
 from typing import Callable, NamedTuple
 from unittest import mock
@@ -24,6 +26,8 @@ from pauligl import algebra, composition, decomposition, indexing, symmetry, ver
 from pauligl.verify import run_verification
 
 from conftest import member_tensors
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 _code_product = algebra.code_product
 _antisymmetric_mask = symmetry.antisymmetric_mask
@@ -145,7 +149,7 @@ MUTANTS = [
            frozenset({"q-vector"})),
     Mutant("_kept keeps |c| == tol at every tol",
            ((decomposition, "_kept", kept_at_tol),),
-           frozenset({"closed-form"})),
+           frozenset({"closed-form", "closed-classes"})),
     Mutant("_kept keeps |c| == tol when tol > 0",
            ((decomposition, "_kept", kept_at_positive_tol),),
            frozenset(),
@@ -197,6 +201,21 @@ MUTANTS = [
            frozenset(),
            test_verify.test_the_runner_counts_failed_checks),
 ]
+
+
+def readme_suites() -> list:
+    """The suites column of each row of README's mutant table, in row order."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| mutant | patched in | suites that fail |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    # a cell may hold an escaped \| (as in |c|), which does not end it
+    last = [re.split(r"(?<!\\)\|", row)[-2].strip() for row in rows]
+    return [frozenset() if cell == "none" else frozenset(cell.split(", "))
+            for cell in last]
+
+
+def test_readme_table_names_each_mutants_suites():
+    assert readme_suites() == [m.suites for m in MUTANTS]
 
 
 @contextlib.contextmanager

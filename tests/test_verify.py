@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor, composition,
                      decomposition, symmetry, verify)
 from pauligl.cli import dispatch
-from pauligl.verify import _codes, _indicator, _random_pairs, run_verification
+from pauligl.verify import _codes, _random_pairs, run_verification
 
 from conftest import edge_floats, member_tensors, tensor_outcome
 
@@ -157,7 +157,7 @@ def test_stacked_pair_products_match_per_pair():
                for dense in verify._matrix_stacks(rng, n, 50, per=2)]
     # the closed-form suite's dense route: the 36 exhaustive antisymmetric
     # pairs, and random antisymmetric pairs
-    basis = [_indicator(s) for s in sorted(ANTISYMMETRIC_GL4_SUPPORT)]
+    basis = [CoefficientTensor(2, {s: 1}) for s in sorted(ANTISYMMETRIC_GL4_SUPPORT)]
     routes = [(decomposition._stack([a for a in basis for _ in basis]),
                decomposition._stack(basis * len(basis)))]
     routes += [_random_pairs(rng, symmetry._ANTISYM_GL4_CODES, 50) for rng in rngs]
@@ -166,12 +166,6 @@ def test_stacked_pair_products_match_per_pair():
         got = left @ right
         want = np.array([x @ y for x, y in zip(left, right)])
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-
-
-def test_indicator_matches_dict_build():
-    for idx in np.ndindex(4, 4):
-        assert (tensor_outcome(_indicator, idx)
-                == tensor_outcome(CoefficientTensor, 2, {idx: 1.0}))
 
 
 @given(st.lists(st.builds(complex, edge_floats, edge_floats),
