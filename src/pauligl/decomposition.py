@@ -308,17 +308,11 @@ def _matrix_stacks(rng, n: int, count: int, per: int = 1):
 
 
 def _interleaved(stack: np.ndarray, m: int) -> np.ndarray:
-    # (B, 2^m, 2^m) -> (B,) + (4,)*m, axis 1 + k the flattened (row_k, col_k)
-    # pair; a view, copied by _transform's reshape
+    # (B, 2^m, 2^m) -> (B,) + (2,)*2m, axes 1 + 2k and 2 + 2k factor k's row
+    # and column bit, so its C order is (B,) + (4,)*m: a view, which decompose
+    # reads and reconstruct writes
     t = stack.reshape((len(stack),) + (2,) * (2 * m))
     return t.transpose([0] + [1 + ax for k in range(m) for ax in (k, m + k)])
-
-
-def _deinterleaved(flat: np.ndarray, m: int) -> np.ndarray:
-    # (B, 4**m) in _interleaved's factor order -> (B, 2^m, 2^m)
-    t = flat.reshape((len(flat),) + (2,) * (2 * m))
-    perm = [1 + 2 * k for k in range(m)] + [2 + 2 * k for k in range(m)]
-    return t.transpose([0] + perm).reshape(len(flat), 2 ** m, 2 ** m)
 
 
 def _transform(t: np.ndarray, mix: np.ndarray, m: int) -> np.ndarray:
@@ -365,7 +359,7 @@ def decompose(matrix, tol: float = DEFAULT_PRUNE_TOL) -> CoefficientTensor:
 def _decompose_stack(stack: np.ndarray) -> _Stack:
     """The stack of ``decompose(a, 0.0)`` of each matrix a of a complex
     (B, 2^m, 2^m) stack, m >= 1, through one transform."""
-    m = stack.shape[-1].bit_length() - 1
+    m = _order_of(stack.shape[-1])
     return _from_dense(m, _coefficients(stack, m), 0.0)
 
 
@@ -385,7 +379,10 @@ def _reconstruct_stack(stack: _Stack) -> np.ndarray:
     if nbytes > MAX_DENSE_BYTES:
         raise DimensionError(f"a dense order-{m} array needs {nbytes} bytes, above "
                              f"the {MAX_DENSE_BYTES}-byte limit")
-    dense = _transform(stack.dense(), _INVERSE, m)
-    if not np.isfinite(dense).all():
+    flat = _transform(stack.dense(), _INVERSE, m)
+    if not np.isfinite(flat).all():
         raise DomainError("non-finite matrix entry: a sum of coefficients overflows")
-    return _deinterleaved(dense, m)
+    out = np.empty((stack.members, 2 ** m, 2 ** m), dtype=complex)
+    view = _interleaved(out, m)
+    view[...] = flat.reshape(view.shape)
+    return out

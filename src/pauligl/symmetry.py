@@ -73,9 +73,12 @@ ANTISYMMETRIC_GL4_SUPPORT = frozenset(
     if classify_basis(idx) is SymmetryKind.ANTISYMMETRIC)
 
 
-#: Codes of ANTISYMMETRIC_GL4_SUPPORT, in increasing (index) order.
-_ANTISYM_GL4_CODES = np.array(sorted(pack_index(i) for i in ANTISYMMETRIC_GL4_SUPPORT),
-                              dtype=np.uint64)
+def _codes(support) -> np.ndarray:
+    """Sorted uint64 codes of a set of multi-indices, which is index order."""
+    return np.array(sorted(map(pack_index, support)), dtype=np.uint64)
+
+
+_ANTISYM_GL4_CODES = _codes(ANTISYMMETRIC_GL4_SUPPORT)
 
 
 def antisymmetric_mask(c: CoefficientTensor) -> np.ndarray:

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import basis_element, pack_index, pauli_matrix, single_product
+from .algebra import basis_element, pauli_matrix, single_product
 from .composition import (ClosedFormReport, _compose, _compose_antisym, compose,
                           verify_closed_forms)
 from .decomposition import (CoefficientTensor, _coeff_distances, _decompose_stack,
                             _from_dense, _matrix_stacks, _reconstruct_stack, _stack)
 from .indexing import (BlockCuts, block_global_from_local, block_local_from_global,
                        lex_global_from_local, lex_local_from_global)
-from .symmetry import (_ANTISYM_GL4_CODES, ANTISYMMETRIC_GL4_SUPPORT, QVector,
+from .symmetry import (_ANTISYM_GL4_CODES, ANTISYMMETRIC_GL4_SUPPORT, QVector, _codes,
                        _transposed, antisymmetric_mask, coeffs_to_qvector,
                        qvector_to_coeffs, qvector_to_dense)
 
@@ -182,11 +182,6 @@ def _suite_bijection(tally) -> str:
             tally.check(np.array_equal(basis_element(idx), prod),
                         part="kron factorization")
     return f"{tally.part_counts()}; all exact"
-
-
-def _codes(support) -> np.ndarray:
-    """Sorted codes of a set of order-2 multi-indices."""
-    return np.array(sorted(map(pack_index, support)), dtype=np.uint64)
 
 
 def _random_pairs(rng, codes: np.ndarray, count: int) -> tuple:

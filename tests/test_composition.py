@@ -375,7 +375,8 @@ class TestRoutes:
         assert_matches_reference(a, b, 0.0)
 
     def test_dense_memory_at_the_cap(self, rng):
-        # the 1 MiB slot array at m = 8, plus the block and the output
+        # the 1 MiB slot array at m = 8, the 0.5 MiB of its listed slot codes,
+        # the block and the output
         a, b = random_operand(rng, 8, 256), random_operand(rng, 8, 256)
         assert composition._dense_route(8, len(a) * len(b))
         compose(a, b)  # first-call setup

@@ -40,6 +40,7 @@ _compose = composition._compose
 _tally_check = verify._Tally.check
 _from_dense = decomposition._from_dense
 _transposed = symmetry._transposed
+_interleaved = decomposition._interleaved
 
 
 def _modulus(values):
@@ -106,6 +107,12 @@ def transposed_by_tagged_digits(stack):
     return decomposition._Stack(stack.m, stack.codes,
                                 np.where(flip, -stack.values, stack.values),
                                 stack.members)
+
+
+def factor_bits_swapped(stack, m):
+    # each factor's column bit ahead of its row bit, in both directions
+    view = _interleaved(stack, m)
+    return view.transpose([0] + [ax for k in range(m) for ax in (2 + 2 * k, 1 + 2 * k)])
 
 
 def failed_counted_as_passed(self, ok, error=None, count=1, part=None):
@@ -184,6 +191,9 @@ MUTANTS = [
     Mutant("_FORWARD conjugated",
            ((decomposition, "_FORWARD", decomposition._FORWARD.conj()),),
            frozenset({"round-trip", "homomorphism", "closed-form", "q-vector"})),
+    Mutant("_interleaved swaps each factor's row and column bit",
+           ((decomposition, "_interleaved", factor_bits_swapped),),
+           frozenset({"homomorphism", "closed-form", "q-vector"})),
     Mutant("_row_blocks returns its blocks last-first",
            ((composition, "_row_blocks", blocks_last_first),),
            frozenset(),
