@@ -94,6 +94,8 @@ _GENERATORS = (
 
 
 def _checked_integer(value, what: str) -> int:
+    if type(value) is int:  # the common case, and already the answer
+        return value
     # int() refuses NaN and +-inf with its own ValueError and OverflowError
     if isinstance(value, (float, np.floating)) and not np.isfinite(value):
         raise DomainError(f"{what} must be an integer, got {value!r}")

@@ -9,6 +9,7 @@ decimal literal) overrides the default prune tolerance for all commands.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -156,6 +157,7 @@ def _cmd_verify(args, tol: float) -> int:
     return 0 if report.ok else 3
 
 
+@functools.cache  # parsing leaves a parser unchanged, so one serves every dispatch
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pauligl",
                      description="Coefficient-space calculator over the "

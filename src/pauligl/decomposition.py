@@ -52,6 +52,8 @@ def _checked_tol(tol: float) -> float:
 
 def _kept(values: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the coefficients that survive pruning: modulus > tol."""
+    if tol == 0:  # a modulus is > 0 exactly where a part is nonzero
+        return values != 0
     # np.hypot is the modulus Python's abs(complex) computes; a modulus
     # that overflows is inf, which is kept, so its warning says nothing
     with np.errstate(over="ignore"):

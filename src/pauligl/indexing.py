@@ -41,6 +41,12 @@ class Half(enum.Enum):
     HIGH = "high"
 
 
+# The array maps never hand numpy a Half member, whose every conversion probes
+# the Enum class: _HALVES[low] is a band's Half, _LOW and _HIGH 0-d constants.
+_HALVES = np.array([Half.HIGH, Half.LOW], dtype=object)
+_LOW, _HIGH = np.array(Half.LOW, dtype=object), np.array(Half.HIGH, dtype=object)
+
+
 @dataclass(frozen=True)
 class BlockCuts:
     """A two-way split of an n x n matrix: rows at row_cut, columns at col_cut.
@@ -97,13 +103,14 @@ def block_local_from_global(i, j, cuts: BlockCuts) -> BlockLocal:
         i, j = np.broadcast_arrays(_integer_array(i, "row index"),
                                    _integer_array(j, "col index"))
         bad = (i < 0) | (i >= cuts.n) | (j < 0) | (j >= cuts.n)
-        if bad.any():
+        if np.logical_or.reduce(bad, axis=None):
             k = np.argmax(bad)
             block_local_from_global(i.flat[k], j.flat[k], cuts)  # raises
-        i, j = i.astype(np.int64), j.astype(np.int64)
+        i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
         low_row, low_col = i < cuts.row_cut, j < cuts.col_cut
-        return BlockLocal(np.where(low_row, Half.LOW, Half.HIGH),
-                          np.where(low_col, Half.LOW, Half.HIGH),
+        # the Ellipsis keeps the lookup of a 0-d index a 0-d array
+        return BlockLocal(_HALVES[low_row.view(np.int8), ...],
+                          _HALVES[low_col.view(np.int8), ...],
                           np.where(low_row, i, i - cuts.row_cut),
                           np.where(low_col, j, j - cuts.col_cut))
     i, j = _checked_integer(i, "row index"), _checked_integer(j, "col index")
@@ -138,16 +145,16 @@ def block_global_from_local(loc: BlockLocal, cuts: BlockCuts) -> tuple:
             np.asarray(loc.block_col, dtype=object),
             _integer_array(loc.local_row, "local row"),
             _integer_array(loc.local_col, "local col"))
-        low_row, low_col = br == Half.LOW, bc == Half.LOW
+        low_row, low_col = br == _LOW, bc == _LOW
         rows = np.where(low_row, cuts.row_cut, cuts.n - cuts.row_cut)
         cols = np.where(low_col, cuts.col_cut, cuts.n - cuts.col_cut)
-        bad = (~low_row & (br != Half.HIGH)) | (~low_col & (bc != Half.HIGH))
+        bad = (~low_row & (br != _HIGH)) | (~low_col & (bc != _HIGH))
         bad |= (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
-        if bad.any():
+        if np.logical_or.reduce(bad, axis=None):
             k = np.argmax(bad)
             block_global_from_local(BlockLocal(br.flat[k], bc.flat[k], r.flat[k],
                                                c.flat[k]), cuts)  # raises
-        r, c = r.astype(np.int64), c.astype(np.int64)
+        r, c = r.astype(np.int64, copy=False), c.astype(np.int64, copy=False)
         return (np.where(low_row, r, r + cuts.row_cut),
                 np.where(low_col, c, c + cuts.col_cut))
     r = _checked_integer(loc.local_row, "local row")
@@ -205,13 +212,13 @@ def _lex_global_array(locals_: np.ndarray, shape: tuple, size: int) -> np.ndarra
     if len(locals_) != len(shape):
         lex_global_from_local([0] * len(locals_), shape)  # raises
     bad = (locals_ < 0) | (locals_ >= sizes)
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         # the first bad digit of the first bad factor; 0 is in range elsewhere
         k = int(np.argmax(bad.reshape(len(shape), -1).any(axis=1)))
         digits = [0] * len(shape)
         digits[k] = locals_[k][bad[k]][0]
         lex_global_from_local(digits, shape)  # raises
-    return (locals_.astype(np.int64) * place).sum(axis=0)
+    return np.add.reduce(locals_.astype(np.int64, copy=False) * place, axis=0)
 
 
 def lex_global_from_local(locals_, shape):
@@ -267,9 +274,9 @@ def lex_local_from_global(i, shape):
     if isinstance(i, np.ndarray):
         sizes, place = _radix_columns(i, "global indices", shape, size, i.ndim)
         bad = (i < 0) | (i >= size)
-        if bad.any():
+        if np.logical_or.reduce(bad, axis=None):
             lex_local_from_global(i[bad][0], shape)  # raises
-        return i.astype(np.int64) // place % sizes
+        return i.astype(np.int64, copy=False) // place % sizes
     i = _checked_integer(i, "global index")
     if not 0 <= i < size:
         raise DomainError(

@@ -157,30 +157,32 @@ def _factor_shapes(limit: int = 64) -> list:
 
 
 def _suite_bijection(tally) -> str:
-    for shape in _factor_shapes(64):
-        g = np.arange(math.prod(shape))
-        back = lex_global_from_local(lex_local_from_global(g, shape), shape)
-        tally.check(np.count_nonzero(back == g), count=len(g), part="lex")
+    g = [(np.arange(math.prod(shape)), shape) for shape in _factor_shapes(64)]
+    same = (np.concatenate([lex_global_from_local(lex_local_from_global(x, s), s)
+                            for x, s in g]) == np.concatenate([x for x, _ in g]))
+    tally.check(np.count_nonzero(same), count=len(same), part="lex")
+    want, got = [], []
     for n in range(2, 9):
-        i, j = np.divmod(np.arange(n * n), n)
-        for rc in range(1, n):
-            for cc in range(1, n):
-                cuts = BlockCuts(n, rc, cc)
-                bi, bj = block_global_from_local(
-                    block_local_from_global(i, j, cuts), cuts)
-                tally.check(np.count_nonzero((bi == i) & (bj == j)), count=n * n,
-                            part="block")
+        ij = np.divmod(np.arange(n * n), n)
+        for rc, cc in itertools.product(range(1, n), repeat=2):
+            cuts = BlockCuts(n, rc, cc)
+            want.append(ij)
+            got.append(block_global_from_local(block_local_from_global(*ij, cuts), cuts))
+    # an entry passes when both its row and its column come back
+    same = (np.concatenate(got, axis=1) == np.concatenate(want, axis=1)).all(axis=0)
+    tally.check(np.count_nonzero(same), count=len(same), part="block")
+    paulis = np.array([pauli_matrix(mu) for mu in range(4)])
     for m in range(1, 4):
         # entry (i, j) is the product over k of factor k's entry at the
         # k-th digits of i and j
         digits = lex_local_from_global(np.arange(2 ** m), (2,) * m)
         rows, cols = digits[:, :, None], digits[:, None, :]
-        for idx in itertools.product(range(4), repeat=m):
-            prod = np.ones((2 ** m, 2 ** m), dtype=complex)
-            for k, mu in enumerate(idx):
-                prod *= pauli_matrix(mu)[rows[k], cols[k]]
-            tally.check(np.array_equal(basis_element(idx), prod),
-                        part="kron factorization")
+        indices = list(itertools.product(range(4), repeat=m))
+        prod = np.ones((len(indices), 2 ** m, 2 ** m), dtype=complex)
+        for k, mu in enumerate(np.array(indices).T):
+            prod *= paulis[mu][:, rows[k], cols[k]]
+        same = (np.array([basis_element(idx) for idx in indices]) == prod).all(axis=(1, 2))
+        tally.check(np.count_nonzero(same), count=len(same), part="kron factorization")
     return f"{tally.part_counts()}; all exact"
 
 

@@ -17,9 +17,11 @@ c(idx) = 2^-m * Tr(basis_element(idx) @ A) evaluated one index at a time.
 
 Index maps: the scalar lexicographic maps, one digit at a time.
 
-Closed forms: the per-entry loop that ``verify_closed_forms`` replaced with
-one array check per pair, and ``compose_gl4`` as it was when it evaluated
-the four-family product law, before it became a call to ``compose``.
+Closed forms: the four-family product law on one pair of 4x4 arrays, which
+the package's law over a stack of pairs must reproduce bit for bit; the
+per-entry loop that ``verify_closed_forms`` replaced with one array check;
+and ``compose_gl4`` as it was when it evaluated the law, before it became a
+call to ``compose``.
 
 Small tensors: ``qvector_to_coeffs`` as it was when it built its result from
 a {multi-index: value} dict; the package now passes code arrays to
@@ -40,7 +42,7 @@ import numpy as np
 from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, DEFAULT_PRUNE_TOL,
                      CoefficientTensor, DimensionError, DomainError,
                      FileFormatError, basis_element, compose, multi_product)
-from pauligl.composition import _gl4_product_array
+from pauligl.algebra import EPSILON
 from pauligl.decomposition import (_FORWARD, _INVERSE, MAX_ORDER, _as_square,
                                    _checked_tol, _order_of)
 from pauligl.symmetry import _check_antisym_gl4
@@ -339,9 +341,36 @@ def _ref_family_of(p, q):
     return "kl"
 
 
+def reference_gl4_product_array(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The paper's four-family product law on 4x4 coefficient arrays (a claim).
+
+    Splits each array into the scalar part (0,0), first-slot vector part
+    (k,0), second-slot vector part (0,l), and tensor part (k,l), k,l in 1..3.
+    """
+    E = EPSILON
+    a00, ar, ac, at = A[0, 0], A[1:, 0], A[0, 1:], A[1:, 1:]
+    b00, br, bc, bt = B[0, 0], B[1:, 0], B[0, 1:], B[1:, 1:]
+
+    C = np.zeros((4, 4), dtype=complex)
+    C[0, 0] = a00 * b00 + ar @ br + ac @ bc + np.sum(at * bt)
+    C[1:, 0] = (a00 * br + ar * b00 + bt @ ac + at @ bc
+                + 1j * (np.einsum("lmk,l,m->k", E, ar, br)
+                        + np.einsum("lmk,lj,mj->k", E, at, bt)))
+    C[0, 1:] = (a00 * bc + ac * b00 + at.T @ br + bt.T @ ar
+                + 1j * (np.einsum("jkl,j,k->l", E, ac, bc)
+                        + np.einsum("jkl,ij,ik->l", E, at, bt)))
+    C[1:, 1:] = (a00 * bt + np.outer(br, ac) + np.outer(ar, bc) + at * b00
+                 + 1j * (np.einsum("klj,k,il->ij", E, ac, bt)
+                         + np.einsum("klj,ik,l->ij", E, at, bc))
+                 + 1j * (np.einsum("kli,k,lj->ij", E, ar, bt)
+                         + np.einsum("kli,kj,l->ij", E, at, br))
+                 - np.einsum("kli,mnj,km,ln->ij", E, E, at, bt))
+    return C
+
+
 def reference_compose_gl4(a, b, tol=DEFAULT_PRUNE_TOL):
     """Closed-form product for order-2 tensors; agrees with ``compose``."""
-    C = _gl4_product_array(_coeff_matrix(a), _coeff_matrix(b))
+    C = reference_gl4_product_array(_coeff_matrix(a), _coeff_matrix(b))
     return CoefficientTensor._from_codes(2, np.arange(16, dtype=np.uint64),
                                          C.reshape(-1), tol)
 

@@ -347,6 +347,17 @@ class TestUsageAndEnv:
         assert code == 1 and "PAULIGL_TOL" in err
 
 
+class TestRepeatedDispatch:
+    def test_each_command_runs_the_same_twice(self, tmp_path, capsys):
+        # one process keeps one parser; no run may change what a later one sees
+        a = write(tmp_path / "a.pcoef", "2\n10 1 0\n")
+        b = write(tmp_path / "b.pcoef", "2\n20 1 0\n")
+        commands = [["bogus"], ["--help"], ["compose", a, b], ["verify", "--seed", "3"]]
+        first = [run_cli(capsys, *argv) for argv in commands]
+        assert [run_cli(capsys, *argv) for argv in commands] == first
+        assert [code for code, _, _ in first] == [1, 0, 0, 0]
+
+
 class TestVerifyCommand:
     def test_passes_and_reports(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--seed", "7")

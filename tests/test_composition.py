@@ -21,7 +21,8 @@ from conftest import (coefficient_tensors, complex_coeffs, edge_floats,
                       member_tensors, multi_indices, random_complex_matrix,
                       stacks, tensor_outcome)
 from reference import (reference_compose, reference_compose_antisym_gl4,
-                       reference_derived_antisym_table, reference_family_errors)
+                       reference_derived_antisym_table, reference_family_errors,
+                       reference_gl4_product_array)
 
 ANTISYM_SORTED = sorted(ANTISYMMETRIC_GL4_SUPPORT)
 ORDER_TWO_SORTED = list(itertools.product(range(4), repeat=2))
@@ -707,6 +708,23 @@ class TestClosedClasses:
         out = compose(indicator((2, 0)), indicator((2, 1)), tol=0.0)
         assert out.coeffs == {(0, 1): 1.0}
         assert not set(out.coeffs) <= ANTISYMMETRIC_GL4_SUPPORT
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("count", [1, 7, 100])
+def test_stacked_law_matches_per_pair_law(count):
+    # each member gets the bits of the law on its pair alone; A and B are the
+    # even and odd members of one draw, as verify_closed_forms passes them,
+    # and rounding the draw adds signed zeros and exact products
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        dense = (rng.standard_normal((2 * count, 4, 4))
+                 + 1j * rng.standard_normal((2 * count, 4, 4)))
+        for d in (dense, np.round(dense)):
+            A, B = d[0::2], d[1::2]
+            got = composition._gl4_product_array(A, B)
+            want = np.array([reference_gl4_product_array(a, b) for a, b in zip(A, B)])
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.fixture(scope="module")

@@ -184,6 +184,15 @@ class TestPruneRule:
         for route, c in self.routes(tol).items():
             assert c.coeffs == {(0,): self.Z}, route
 
+    @given(st.lists(st.builds(complex, edge_floats, edge_floats), min_size=1, max_size=6),
+           st.sampled_from([0.0, -0.0]))
+    def test_zero_tol_keeps_every_nonzero_modulus(self, values, tol):
+        # at tol = 0, _kept tests the parts for nonzero and computes no modulus
+        values = np.array(values)
+        with np.errstate(over="ignore"):
+            want = np.hypot(values.real, values.imag) > tol
+        assert _kept(values, tol).tolist() == want.tolist()
+
 
 class TestDecompose:
     def test_identity_4x4(self):

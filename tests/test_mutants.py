@@ -41,6 +41,8 @@ _tally_check = verify._Tally.check
 _from_dense = decomposition._from_dense
 _transposed = symmetry._transposed
 _interleaved = decomposition._interleaved
+_gl4_product_array = composition._gl4_product_array
+_radix_columns = indexing._radix_columns
 
 
 def _modulus(values):
@@ -113,6 +115,19 @@ def factor_bits_swapped(stack, m):
     # each factor's column bit ahead of its row bit, in both directions
     view = _interleaved(stack, m)
     return view.transpose([0] + [ax for k in range(m) for ax in (2 + 2 * k, 1 + 2 * k)])
+
+
+def law_tensor_part_off_by_one(A, B):
+    # the tensor part of member k reads member k + 1 of B
+    C = _gl4_product_array(A, B)
+    C[:, 1:, 1:] = _gl4_product_array(A, np.roll(B, -1, axis=0))[:, 1:, 1:]
+    return C
+
+
+def places_fastest_first(a, what, shape, size, ndim):
+    # the first listed factor gets place value 1, as if it varied fastest
+    sizes, _ = _radix_columns(a, what, shape, size, ndim)
+    return sizes, np.cumprod((1,) + shape[:-1]).reshape(sizes.shape)
 
 
 def failed_counted_as_passed(self, ok, error=None, count=1, part=None):
@@ -210,6 +225,15 @@ MUTANTS = [
            ((verify._Tally, "check", failed_counted_as_passed),),
            frozenset(),
            test_verify.test_the_runner_counts_failed_checks),
+    Mutant("stacked law pairs member k of A with member k+1 of B in the tensor-part term",
+           ((composition, "_gl4_product_array", law_tensor_part_off_by_one),),
+           frozenset({"closed-form"})),
+    Mutant("lex place values built fastest factor first",
+           ((indexing, "_radix_columns", places_fastest_first),),
+           frozenset({"bijection"})),
+    Mutant("block map Half table swapped",
+           ((indexing, "_HALVES", indexing._HALVES[::-1].copy()),),
+           frozenset({"bijection"})),
 ]
 
 

@@ -10,6 +10,7 @@ from pauligl.cli import dispatch
 from pauligl.verify import _codes, _random_pairs, run_verification
 
 from conftest import edge_floats, member_tensors, tensor_outcome
+from reference import reference_gl4_product_array
 
 # The counts each suite reports whatever the seed and the BLAS: every check
 # of these suites is exact or far inside its bound.
@@ -38,6 +39,16 @@ def test_stack_size_cannot_change_the_report(seed, monkeypatch):
     # one sample per stack is the per-sample loop the stacks replaced
     default = run_verification(seed).render()
     monkeypatch.setattr(decomposition, "_STACK_ENTRIES", 1)
+    assert run_verification(seed).render() == default
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("seed", [0, 42, 7, 3])
+def test_per_pair_law_prints_the_same_report(seed, monkeypatch):
+    # the product law over one stack prints what it printed one pair at a time
+    default = run_verification(seed).render()
+    monkeypatch.setattr(composition, "_gl4_product_array", lambda A, B: np.array(
+        [reference_gl4_product_array(a, b) for a, b in zip(A, B)]))
     assert run_verification(seed).render() == default
 
 
