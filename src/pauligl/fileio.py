@@ -7,15 +7,22 @@ Three formats, all line-oriented ASCII:
                     "D re im" where D is m digits, each in 0..3
   vector-pair file  one line "a1 a2 a3 b1 b2 b3"
 
-Reals print in shortest round-trip form, with integral values printed as
-bare integers ("1", not "1.0") and negative zero kept as "-0".  Coefficient
-files are written sorted by digit string with near-zero entries already
-pruned, so equal tensors produce byte-identical files.  The readers accept
-finite values only, so the writers refuse inf and nan with DomainError (a
-CoefficientTensor never holds them).
+Reals print as repr prints them (the shortest decimal that reads back),
+with integral values printed as bare integers ("1", not "1.0") and
+negative zero kept as "-0".  Coefficient files are written sorted by
+digit string with near-zero entries already pruned, so equal tensors
+produce byte-identical files.  The readers accept finite values only, so
+the writers refuse inf and nan with DomainError (a CoefficientTensor never
+holds them).
+
+The writer finds the digits of a block of reals with Schubfach (R.
+Giulietti, "The Schubfach way to render doubles", 2020; JDK 19's
+Double.toString) in exact uint64 array arithmetic, changed to match repr:
+one digit fewer is tried whenever s >= 10 (the JDK's s >= 100 writes
+5e-324 as 4.9e-324), and that branch, too, uses the exponent k + dk.
 
 Files are read a matrix row or a block of lines at a time, each checked
-with one regular expression, and written a row or a block at a time.
+with one regular expression, and written a block of lines at a time.
 Parse errors raise FileFormatError carrying the 1-based line number of the
 first error in line order, with one exception: a matrix file with the wrong
 number of rows reports the count first, at the line of the first extra or
@@ -24,6 +31,7 @@ missing row, before any row is read.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -61,33 +69,162 @@ _ROW = rf"{_REAL},{_REAL}(?: {_REAL},{_REAL})*\Z"
 _SPACE = r"[^\S\n]"
 
 # Files are read in blocks of about this many characters, cut after a
-# newline, and coefficient files are written this many lines at a time.
-# Either bounds the Python objects alive at once to one block.
+# newline, and written this many lines, or matrix rows holding about twice
+# as many reals, at a time.  Either bounds what is alive at once to a block.
 _BLOCK_CHARS = 1 << 15
 _BLOCK_LINES = 4096
 
 
-def _format_reals(values: np.ndarray) -> list:
-    """format_real of each element of a float array, in ravel order."""
-    v = np.ravel(values)
-    out = list(map(repr, v.tolist()))
-    # repr writes an integral value below 1e16 in fixed form ending in ".0";
-    # dropping that gives the bare integer, and "-0" for -0.0
-    for k in np.flatnonzero((v == np.trunc(v)) & (np.abs(v) < 1e16)).tolist():
-        out[k] = out[k][:-2]
+# -- the writer --------------------------------------------------------------
+
+_NSIG = 17  # the most significant digits a double needs
+# a value's row of bytes: digit j of its 18-digit significand in column
+# 2 + j (columns 0 and 1 hold "0"), the sign, the separator after it, ".",
+# "e", the exponent's sign and three digits, and a 0 that the text drops
+_ZERO, _SIGN, _SEP, _DOT, _E, _EXP, _PAD = 0, 20, 21, 22, 23, 24, 28
+
+
+def _template(cls: int, n: int) -> list:
+    """The 25 columns written for n significant digits in class cls (_slots)."""
+    digits, p = list(range(2, 2 + n)), cls - 3
+    if cls >= 20:  # exponent form
+        body = (digits[:1] + [_DOT] * (n > 1) + digits[1:] + [_E, _EXP]
+                + list(range(_EXP + 2 - (cls & 1), _EXP + 4)))
+    elif p <= 0:
+        body = [_ZERO, _DOT] + [_ZERO] * -p + digits
+    else:  # an integral value has no ".0"
+        body = digits[:p] + [_ZERO] * (p - n) + [_DOT] * (p < n) + digits[p:]
+    return ([_SIGN] + body + [_SEP] + [_PAD] * 25)[:25]
+
+
+@functools.cache
+def _tables() -> tuple:
+    """The writer's tables, built on its first use: Schubfach's
+    g = floor(10^-k * 2^-r) + 1, 2^125 <= g - 1 < 2^126, for k = -324..292,
+    as g >> 63 and g mod 2^63; 10^0..10^18; the ASCII digits of 0..9999 as
+    uint32s and the place (1..4, 0 for 0) of their last nonzero digit; the
+    sign and digits of the exponents -324..308; and the templates."""
+    g = []
+    for k in range(-324, 293):
+        r = ((-k * 913124641741) >> 38) - 125  # floor(log2(10^-k)) - 125
+        g.append((10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1)
+    g = np.array(g, dtype=object)
+    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    exponent = "".join(f"{e:+04}" for e in range(-324, 309)).encode()
+    templates = np.array([_template(key // _NSIG, key % _NSIG + 1)
+                          for key in range(24 * _NSIG)], dtype=np.intp)
+    return (np.array(g >> 63, dtype=np.uint64), np.array(g & (2 ** 63 - 1), dtype=np.uint64),
+            10 ** np.arange(19, dtype=np.uint64), digits.view(np.uint32).ravel(),
+            np.select(list(digits.T[::-1] > 48), [4, 3, 2, 1]).astype(np.uint8),
+            np.frombuffer(exponent, dtype=np.uint32), templates)
+
+
+def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """Schubfach's rop: g * cp / 2^127 for g = g1 * 2^63 + g0, rounded to odd."""
+    b1, b0 = cp >> 32, cp & 0xFFFFFFFF
+
+    def high(a):  # the high 64 bits of a * cp, for a < 2^63 and cp < 2^59
+        a1, a0 = a >> 32, a & 0xFFFFFFFF
+        return a1 * b1 + ((a1 * b0 + a0 * b1 + (a0 * b0 >> 32)) >> 32)
+    z = (g1 * cp >> 1) + high(g0)
+    return high(g1) + (z >> 63) | ((z & (2 ** 63 - 1)) + (2 ** 63 - 1)) >> 63
+
+
+def _shortest(bits: np.ndarray) -> tuple:
+    """Schubfach's decimal d * 10^e of each nonzero finite double, given as
+    its uint64 bits: d has the fewest digits that read back, and is the
+    nearest of those.  No int64 array meets a uint64 one: numpy makes float64."""
+    g1, g0 = _tables()[:2]
+    bq = (bits >> 52).astype(np.int64) & 0x7FF
+    t = bits & (2 ** 52 - 1)
+    tiny = (bq == 0) & (t < 3)  # a subnormal c < 3 is scaled by 10, dk = -1
+    irregular = (t == 0) & (bq > 1)  # c = 2^52 above the least exponent
+    c = np.where(bq > 0, t | 2 ** 52, np.where(tiny, t * 10, t))
+    q = np.maximum(bq, 1) - 1075
+    del bq, t  # a block's arrays are kept few, as its scratch is bounded
+    # k = floor(log10(2^q)), or floor(log10(3/4 * 2^q)) where irregular
+    k = (q * 661971961083 - irregular * 274743187321) >> 41
+    h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
+    del q
+    g1, g0 = g1[k + 324], g0[k + 324]
+    cb = c << 2
+    vb = _rop(g1, g0, cb << h)
+    vbl = _rop(g1, g0, cb - 2 + irregular << h)
+    vbr = _rop(g1, g0, cb + 2 << h)
+    out = c & 1
+    vbl += out
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    upin = vbl <= sp10 << 2
+    shorter = (s >= 10) & (upin != ((sp10 << 2) + 40 + out <= vbr))
+    uin = vbl <= s << 2
+    win = (s << 2) + 4 + out <= vbr
+    # both in range: the nearer, s on a tie when s is even
+    mid = (s << 2) + 2
+    above = (vb > mid) | ((vb == mid) & (s & 1 == 1))
+    d = np.where(shorter, np.where(upin, sp10, sp10 + 10),
+                 s + np.where(uin != win, win, above))
+    return d, k - tiny
+
+
+def _slots(reals: np.ndarray, seps) -> np.ndarray:
+    """(len(reals), 25) uint8: the text of each real, then its separator seps
+    (one byte, or one per real), padded with 0 bytes."""
+    _, _, pow10, chunk, last, exponent, templates = _tables()
+    bits = reals.view(np.uint64)
+    zero = bits << 1 == 0
+    d, e = _shortest(np.where(zero, 0x3FF0000000000000, bits))  # 0 as 1.0
+    nd = np.searchsorted(pow10, d, side="right")  # digits of d
+    decpt = nd + e
+    # d with 0s appended to 18 digits, in chunks of 2, 4, 4, 4 and 4 digits
+    d *= pow10[18 - nd]
+    del e, nd
+    chunks = np.empty((5, len(d)), dtype=np.intp)
+    for j, place in enumerate((10 ** 16, 10 ** 12, 10 ** 8, 10 ** 4)):
+        chunks[j] = high = d // place
+        d -= high * place  # not d % place, which is slow on uint64
+    chunks[4] = d
+    del d, high
+    rows = np.zeros((len(decpt), 32), dtype=np.uint8)
+    rows.view(np.uint32)[:, :5] = chunk[chunks.T]
+    rows[zero, 2] = ord("0")
+    rows[:, _SIGN] = (bits >> 63).astype(np.uint8) * ord("-")
+    rows[:, _SEP] = seps
+    rows[:, _DOT:_EXP] = (ord("."), ord("e"))
+    rows.view(np.uint32)[:, _EXP // 4] = exponent[decpt + 323]
+    # the significant digits run to the last chunk with a nonzero digit
+    places = last[chunks]
+    del chunks
+    places += np.arange(0, 20, 4, dtype=np.uint8)[:, None] * (places > 0)
+    nsig = places.max(axis=0) - 2
+    # class: decpt + 3 in fixed form, else 20 + 2 * (exponent < 0) + (3 digits)
+    cls = np.where((decpt > -4) & (decpt < 17), decpt + 3,
+                   20 + 2 * (decpt < 1) + ((decpt < -98) | (decpt > 100)))
+    key = cls * _NSIG + nsig - 1
+    out = np.empty((len(key), 25), dtype=np.uint8)
+    for start in range(0, len(key), 1024):  # 200 KiB of indices at a time
+        index = templates[key[start:start + 1024]]
+        index += np.arange(32 * start, 32 * start + 32 * len(index), 32)[:, None]
+        np.take(rows.ravel(), index, out=out[start:start + 1024])
     return out
 
 
+def _text(head: str, blocks) -> str:
+    """head, then the text of each block of rows of _slots, less its 0s."""
+    return "".join(itertools.chain([head], (
+        str(rows[rows != 0].data, "ascii") for rows in blocks)))
+
+
+def _write_reals(reals: list, seps) -> str:
+    """The text of a list of floats, each followed by its separator."""
+    for x in reals:
+        if not math.isfinite(x):
+            raise DomainError(f"cannot write the non-finite value {x!r}")
+    return _text("", [_slots(np.array(reals, dtype=float), seps)])
+
+
 def format_real(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"cannot write the non-finite value {x!r}")
-    return _format_reals(np.array([x]))[0]
-
-
-def _format_parts(z: np.ndarray) -> list:
-    """format_real of the real and imaginary part of each complex, interleaved."""
-    return _format_reals(np.stack((z.real, z.imag), axis=-1))
+    return _write_reals([float(x)], 0)
 
 
 def parse_real_literal(token: str) -> float:
@@ -148,12 +285,17 @@ def format_matrix(matrix) -> str:
         i, j = np.argwhere(~np.isfinite(a))[0].tolist()
         raise DomainError(
             f"cannot write the non-finite matrix entry at ({i}, {j}): {a[i, j]}")
-    lines = [str(a.shape[0])]
-    for row in a:
-        reals = iter(_format_parts(row))
-        lines.append(" ".join(map(",".join, zip(reals, reals))))
-    lines.append("")  # the final newline, without copying the joined text
-    return "\n".join(lines)
+    n, cols = a.shape
+    if not cols:
+        return f"{n}\n" + "\n" * n
+    # whole rows of ~2 * _BLOCK_LINES reals; "re,im" ends in " ", or "\n"
+    per = max(1, _BLOCK_LINES // cols)
+    seps = np.tile(np.frombuffer(b", " * cols, dtype=np.uint8), per)
+    seps[2 * cols - 1::2 * cols] = ord("\n")
+    blocks = (_slots(reals, seps[:len(reals)]) for reals in (
+        np.ascontiguousarray(a[start:start + per]).view(float).ravel()
+        for start in range(0, n, per)))
+    return _text(f"{n}\n", blocks)
 
 
 def _raise_row_error(tokens: list, n: int, lineno: int):
@@ -210,14 +352,15 @@ def _digit_strings(codes: np.ndarray, m: int) -> list:
 
 
 def format_coefficients(c: CoefficientTensor) -> str:
-    blocks = [str(c.m)]
-    for start in range(0, len(c.codes), _BLOCK_LINES):
-        stop = start + _BLOCK_LINES
-        reals = iter(_format_parts(c.values[start:stop]))
-        blocks.append("\n".join(map(" ".join, zip(
-            _digit_strings(c.codes[start:stop], c.m), reals, reals))))
-    blocks.append("")
-    return "\n".join(blocks)
+    seps = np.tile(np.frombuffer(b" \n", dtype=np.uint8), _BLOCK_LINES)
+
+    def blocks():  # each line is "D ", then the two reals
+        for start in range(0, len(c.codes), _BLOCK_LINES):
+            index = code_digits(c.codes[start:start + _BLOCK_LINES], c.m) + ord("0")
+            reals = c.values[start:start + _BLOCK_LINES].view(float)
+            yield np.hstack((np.pad(index, ((0, 0), (0, 1)), constant_values=ord(" ")),
+                             _slots(reals, seps[:len(reals)]).reshape(len(index), -1)))
+    return _text(f"{c.m}\n", blocks())
 
 
 def _check_distinct(codes: np.ndarray, m: int) -> None:
@@ -299,7 +442,8 @@ def parse_coefficients(text: str) -> CoefficientTensor:
 
 
 def format_qvector(q: QVector) -> str:
-    return " ".join(format_real(x) for x in (*q.a, *q.b)) + "\n"
+    return _write_reals([float(x) for x in (*q.a, *q.b)],
+                        np.frombuffer(b"     \n", dtype=np.uint8))
 
 
 def parse_qvector(text: str) -> QVector:

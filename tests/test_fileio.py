@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -247,6 +248,9 @@ SPECIAL_FLOATS = [
     1e-5, 1e-4, 0.1, 0.5, 1.0, -3.0, 123456.75,
     1e15, 1e15 + 0.5, 1e15 + 1, 1e16 - 2, 1e16, 1e16 + 2, -1e16, 1e17,
     2.0 ** 53, 2.0 ** 53 + 2, -(2.0 ** 53), 2.0 ** 63, 1.5e16, 9.5e15,
+    # 2^-1022 and 9007199254740993.0, which reads as 2^53, are listed above
+    1e-323, 1.5e-323, 8e-323, 1e22, 1e23, math.nextafter(2.0 ** -1022, 0),
+    math.nextafter(2.0 ** -1022, 1), 0.3,
 ]
 ALL_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(),
                        st.integers(-2 ** 60, 2 ** 60).map(float))
@@ -343,6 +347,63 @@ class TestFormatMatchesReference:
         c = decompose(random_complex_matrix(rng, 128), 0.0)
         assert len(c.codes) > 2 * fileio._BLOCK_LINES
         assert format_coefficients(c) == reference_format_coefficients(c)
+
+
+# -- the shortest-digit writer against repr, family by family ----------------
+
+def _neighbours(x):
+    """x and the floats one step below and above each element."""
+    return np.concatenate((x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)))
+
+
+def battery():
+    """Families of finite floats on which the writer's digit kernel can err."""
+    rng = np.random.default_rng(2020)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64, endpoint=False)
+    tiny = np.arange(1, 100_000, dtype=np.uint64)
+    near_300 = np.ldexp(rng.uniform(1, 2, 20_000), rng.integers(990, 1000, 20_000))
+    families = {
+        "SPECIAL_FLOATS": np.array(SPECIAL_FLOATS),
+        "powers of two and their neighbours": _neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+        "powers of ten and their neighbours": _neighbours(
+            np.array([float(f"1e{k}") for k in range(-323, 309)])),
+        "subnormals of significand < 100000": tiny.view(float),
+        "random subnormals": rng.integers(1, 2 ** 52, 50_000, dtype=np.uint64).view(float),
+        "random bit patterns": bits.view(float),
+        "normals near 1e+-300": np.concatenate((near_300, 1 / near_300)),
+    }
+    return {name: x[np.isfinite(x)] for name, x in families.items()}
+
+
+@pytest.mark.bits
+def test_writer_matches_repr_on_the_battery():
+    # exact integer arithmetic: no BLAS kernel or SIMD target can move a byte
+    for name, x in battery().items():
+        for values in (x, -x):
+            rows = fileio._slots(values, ord("\n"))
+            got = fileio._text("", [rows]).split("\n")[:-1]
+            want = list(map(reference_format_real, values.tolist()))
+            bad = [k for k, (g, w) in enumerate(zip(got, want)) if g != w]
+            assert len(got) == len(want) and not bad, (
+                f"{name}: {len(bad)} values differ, first {float(values[bad[0]])!r}: "
+                f"{got[bad[0]]!r} for {want[bad[0]]!r}")
+
+
+def test_schubfach_table_from_its_definition():
+    # g = floor(10^-k * 2^-r) + 1 with 2^125 <= g - 1 < 2^126, found here
+    # by exact rational arithmetic rather than by the writer's flog2pow10
+    g1, g0 = fileio._tables()[:2]
+    assert len(g1) == len(g0) == 617
+    for i, k in enumerate(range(-324, 293)):
+        x = Fraction(10) ** -k
+        r = x.numerator.bit_length() - x.denominator.bit_length() - 126
+        while math.floor(x / Fraction(2) ** r) >= 2 ** 126:
+            r += 1
+        while math.floor(x / Fraction(2) ** r) < 2 ** 125:
+            r -= 1
+        g = math.floor(x / Fraction(2) ** r) + 1
+        assert 2 ** 125 <= g - 1 < 2 ** 126
+        assert (int(g1[i]), int(g0[i])) == (g >> 63, g % 2 ** 63), k
 
 
 GOOD_REALS = ["0", "-0", "+1", "1.5", "-2.25e-3", ".5", "5.", "1E3", "0.1",

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
 import itertools
 import pathlib
 import re
+import textwrap
 from typing import Callable, NamedTuple
 from unittest import mock
 
@@ -21,8 +23,10 @@ import pytest
 
 import test_composition
 import test_decomposition
+import test_fileio
 import test_verify
-from pauligl import algebra, composition, decomposition, indexing, symmetry, verify
+from pauligl import (algebra, composition, decomposition, fileio, indexing, symmetry,
+                     verify)
 from pauligl.verify import run_verification
 
 from conftest import member_tensors
@@ -143,6 +147,16 @@ def kept_at_positive_tol(values, tol):
     return modulus >= tol if tol > 0 else modulus > tol
 
 
+def rewritten(func, old, new):
+    """func with the one occurrence of old in its source replaced by new."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"),
+         func.__globals__, namespace)
+    return namespace[func.__name__]
+
+
 class Mutant(NamedTuple):
     name: str
     patches: tuple  # (module, attribute, replacement) for each lookup site
@@ -234,6 +248,20 @@ MUTANTS = [
     Mutant("block map Half table swapped",
            ((indexing, "_HALVES", indexing._HALVES[::-1].copy()),),
            frozenset({"bijection"})),
+    Mutant("the writer tries one digit fewer only when s >= 100, as the JDK does",
+           ((fileio, "_shortest", rewritten(fileio._shortest, "(s >= 10)", "(s >= 100)")),),
+           frozenset(),
+           test_fileio.test_writer_matches_repr_on_the_battery),
+    Mutant("the writer's rop drops its sticky bit",
+           ((fileio, "_rop", rewritten(
+               fileio._rop, " | ((z & (2 ** 63 - 1)) + (2 ** 63 - 1)) >> 63", "")),),
+           frozenset(),
+           test_fileio.test_writer_matches_repr_on_the_battery),
+    Mutant("the writer resolves every tie to s",
+           ((fileio, "_shortest", rewritten(
+               fileio._shortest, "(vb > mid) | ((vb == mid) & (s & 1 == 1))", "vb > mid")),),
+           frozenset(),
+           test_fileio.test_writer_matches_repr_on_the_battery),
 ]
 
 
