@@ -21,12 +21,16 @@ Double.toString) in exact uint64 array arithmetic, changed to match repr:
 one digit fewer is tried whenever s >= 10 (the JDK's s >= 100 writes
 5e-324 as 4.9e-324), and that branch, too, uses the exponent k + dk.
 
-Files are read a matrix row or a block of lines at a time, each checked
-with one regular expression, and written a block of lines at a time.
-Parse errors raise FileFormatError carrying the 1-based line number of the
-first error in line order, with one exception: a matrix file with the wrong
-number of rows reports the count first, at the line of the first extra or
-missing row, before any row is read.
+Files are read and written a block of lines at a time.  A block laid out
+as the writers lay it out (ASCII, literal characters between single
+separators) is checked with byte operations, and its literals are
+converted with float(), which over those characters accepts exactly the
+literal grammar.  Any other block is read a matrix row or the block's
+lines at a time, each checked with one regular expression.  Parse errors
+raise FileFormatError carrying the 1-based line number of the first error
+in line order, with one exception: a matrix file with the wrong number of
+rows reports the count first, at the line of the first extra or missing
+row, before any row is read.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _ROW = rf"{_REAL},{_REAL}(?: {_REAL},{_REAL})*\Z"
 # what str.split() splits on, minus the newline that joins a block's lines
 _SPACE = r"[^\S\n]"
+
+# The characters of a real literal (_REAL).  Deleting them from a block
+# laid out as the writers lay it out leaves only its separators.
+_LITERAL = b"0123456789+-.eE"
 
 # Files are read in blocks of about this many characters, cut after a
 # newline, and written this many lines, or matrix rows holding about twice
@@ -256,25 +264,78 @@ def _parse_int(token: str, line: int | None, what: str) -> int:
             line=line) from None
 
 
-def _line_blocks(text: str):
-    """Yield text.splitlines() without its trailing blank lines, in blocks.
+def _line(text: str, start: int, keepends: bool) -> str:
+    """The line of text that begins at start, with or without its break."""
+    end = text.find("\n", start) + 1 or len(text)
+    return text[start:end].splitlines(keepends)[0]
 
-    Each block is a list of the whole lines of about _BLOCK_CHARS
-    characters of text, so the lines of the whole text never exist at once.
+
+def _line_blocks(text: str):
+    """Yield the lines of text.splitlines(), without its trailing blank
+    lines, in blocks of text.
+
+    Each block is the whole lines of about _BLOCK_CHARS characters of text,
+    ending with "\n" (added to the last line), so the lines of the whole
+    text never exist at once.
     """
     # the lines end with the one that holds the last non-space character
     stop = len(text)
     while stop and text[stop - 1].isspace():
         stop -= 1
     if stop:
-        stop += len(text[stop - 1:].splitlines()[0]) - 1
+        stop += len(_line(text, stop - 1, False)) - 1
     pos = 0
     while pos < stop:
         # a newline always ends a line, also as the second half of "\r\n"
         cut = text.find("\n", pos + _BLOCK_CHARS, stop)
         end = stop if cut < 0 else cut + 1
-        yield text[pos:end].splitlines()
+        yield text[pos:end] + ("\n" if end == stop else "")
         pos = end
+
+
+def _header(text: str, what: str) -> tuple:
+    """The stripped first line of a `what` file, and the blocks of the
+    lines after it (_line_blocks)."""
+    blocks = _line_blocks(text)
+    first = next(blocks, None)
+    if first is None:
+        raise FileFormatError(f"empty {what} file", line=1)
+    head = _line(first, 0, True)
+    return head.strip(), itertools.chain([first[len(head):]], blocks)
+
+
+def _canonical_lines(block: str, line: bytes) -> int | None:
+    """The number of lines of block if they are laid out as the writers lay
+    them out, else None: ASCII, each with the separators of `line` (", ,\n"
+    for the row "1,0 0,-1\n") between literal characters.  The literals
+    may still be empty or malformed."""
+    if not block.isascii():
+        return None
+    layout = block.encode("ascii").translate(None, _LITERAL)
+    count = len(layout) // len(line)
+    return count if layout == line * count else None
+
+
+def _literals(block: str, count: int, line: bytes) -> list | None:
+    """The literals of a block in which _canonical_lines found count lines
+    laid out as `line`, or None if a literal is empty."""
+    literals = block.replace(",", " ").split()
+    # each separator ends one literal, so an empty literal leaves fewer
+    return literals if len(literals) == count * len(line) else None
+
+
+def _finite_reals(literals: list) -> np.ndarray | None:
+    """The literals as floats, or None unless each is a finite real.
+
+    Each literal is spelled with _LITERAL's characters only, or matched
+    _REAL: over those characters float() accepts exactly what _REAL
+    matches (a test checks every string of up to six of them).
+    """
+    try:
+        reals = np.fromiter(map(float, literals), float, len(literals))
+    except ValueError:
+        return None
+    return reals if np.isfinite(reals).all() else None
 
 
 def format_matrix(matrix) -> str:
@@ -314,33 +375,42 @@ def _raise_row_error(tokens: list, n: int, lineno: int):
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    blocks = _line_blocks(text)
-    header = next(blocks, None)
-    if header is None:
-        raise FileFormatError("empty matrix file", line=1)
-    n = _parse_int(header[0].strip(), 1, "matrix side")
+    head, body = _header(text, "matrix")
+    n = _parse_int(head, 1, "matrix side")
     if n < 1:
         raise FileFormatError(f"matrix side must be >= 1, got {n}", line=1)
-    found = len(header) - 1 + sum(map(len, blocks))
-    if found != n:
-        bad = found + 2 if found < n else n + 2
-        raise FileFormatError(f"expected {n} rows, found {found}", line=bad)
     # a valid file spends 4 characters or more per entry ("0,0" and a separator);
     # a shorter one has a bad row, found in one row of scratch, not in n * n
     fits = len(text) >= 4 * n * n
+    line = b", " * (n - 1) + b",\n" if fits else None
+    # the line count of each block laid out as the writer lays it out, else None
+    counts, found = [], 0
+    for block in body:
+        counts.append(_canonical_lines(block, line) if fits else None)
+        found += len(block.splitlines()) if counts[-1] is None else counts[-1]
+    if found != n:
+        bad = found + 2 if found < n else n + 2
+        raise FileFormatError(f"expected {n} rows, found {found}", line=bad)
     out = np.empty((n if fits else 1, n), dtype=complex)
     reals = out.view(float)  # row i holds re, im, re, im, ... of matrix row i
-    blocks = _line_blocks(text)
-    rows = itertools.chain(next(blocks)[1:], itertools.chain.from_iterable(blocks))
     row_re = re.compile(_ROW)
-    for i, raw in enumerate(rows):
-        tokens = raw.split()
-        if len(tokens) == n and row_re.match(" ".join(tokens)):
-            row = reals[i if fits else 0]
-            row[:] = list(map(float, ",".join(tokens).split(",")))
-            if np.isfinite(row).all():
-                continue
-        _raise_row_error(tokens, n, i + 2)
+    i = 0  # rows read
+    for block, count in zip(_header(text, "matrix")[1], counts):
+        literals = None if count is None else _literals(block, count, line)
+        rows = None if literals is None else _finite_reals(literals)
+        if rows is not None:
+            reals[i:i + count] = rows.reshape(count, 2 * n)
+            i += count
+            continue
+        for raw in block.splitlines():
+            tokens = raw.split()
+            if len(tokens) == n and row_re.match(" ".join(tokens)):
+                row = _finite_reals(",".join(tokens).split(","))
+                if row is not None:
+                    reals[i if fits else 0] = row
+                    i += 1
+                    continue
+            _raise_row_error(tokens, n, i + 2)
     return out
 
 
@@ -406,12 +476,26 @@ def _raise_block_error(lines: list, first: int, m: int, codes: np.ndarray):
     raise AssertionError(f"line {first}: block check and line checks disagree")
 
 
+def _coefficient_lines(fields: list, m: int) -> tuple | None:
+    """The index digits and the reals of lines given as their fields
+    (index, re, im of each line in turn), or None unless each index is m
+    digits in 0..3 and each real is finite."""
+    index = fields[0::3]
+    if set(map(len, index)) - {m}:
+        return None
+    index = "".join(index).encode("ascii")
+    if index.translate(None, b"0123"):
+        return None
+    del fields[0::3]
+    reals = _finite_reals(fields)
+    if reals is None:
+        return None
+    return np.frombuffer(index, dtype=np.uint8).reshape(-1, m) - ord("0"), reals
+
+
 def parse_coefficients(text: str) -> CoefficientTensor:
-    blocks = _line_blocks(text)
-    header = next(blocks, None)
-    if header is None:
-        raise FileFormatError("empty coefficient file", line=1)
-    m = _parse_int(header[0].strip(), 1, "tensor order")
+    head, body = _header(text, "coefficient")
+    m = _parse_int(head, 1, "tensor order")
     if m < 1:
         raise FileFormatError(f"tensor order must be >= 1, got {m}", line=1)
     _checked_order(m)
@@ -420,22 +504,21 @@ def parse_coefficients(text: str) -> CoefficientTensor:
     weights = np.uint64(4) ** np.arange(m - 1, -1, -1, dtype=np.uint64)
     codes, values = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=complex)]
     first = 2  # line number of the block's first line
-    for lines in itertools.chain([header[1:]], blocks):
-        if not lines:
-            continue
-        block = "\n".join(lines) + "\n"
-        if block_re.match(block):
-            fields = block.split()  # index, re, im of each line in turn
-            digits = np.frombuffer("".join(fields[0::3]).encode("ascii"),
-                                   dtype=np.uint8).reshape(-1, m) - ord("0")
-            del fields[0::3]
-            reals = np.array(list(map(float, fields)))
-            if np.isfinite(reals).all():
-                codes.append(digits.astype(np.uint64) @ weights)
-                values.append(reals.view(complex))
-                first += len(lines)
-                continue
-        _raise_block_error(lines, first, m, np.concatenate(codes))
+    for block in body:
+        count = _canonical_lines(block, b"  \n")
+        fields = None if count is None else _literals(block, count, b"  \n")
+        got = None if fields is None else _coefficient_lines(fields, m)
+        if got is None:
+            lines = block.splitlines()
+            block = "\n".join(lines) + "\n"
+            if block_re.match(block):
+                got = _coefficient_lines(block.split(), m)
+            if got is None:
+                _raise_block_error(lines, first, m, np.concatenate(codes))
+        digits, reals = got
+        codes.append(digits.astype(np.uint64) @ weights)
+        values.append(reals.view(complex))
+        first += len(digits)
     codes = np.concatenate(codes)
     _check_distinct(codes, m)
     return CoefficientTensor._from_codes(m, codes, np.concatenate(values), 0.0)
@@ -447,12 +530,10 @@ def format_qvector(q: QVector) -> str:
 
 
 def parse_qvector(text: str) -> QVector:
-    lines = list(itertools.chain.from_iterable(_line_blocks(text)))
-    if not lines:
-        raise FileFormatError("empty vector-pair file", line=1)
-    if len(lines) > 1:
+    head, body = _header(text, "vector-pair")
+    if any(body):  # stops at the block that holds the second line
         raise FileFormatError("expected a single line of six values", line=2)
-    tokens = lines[0].split()
+    tokens = head.split()
     if len(tokens) != 6:
         raise FileFormatError(
             f"expected six values, found {len(tokens)}", line=1)

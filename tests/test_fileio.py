@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -239,6 +240,19 @@ class TestQVectorFiles:
         with pytest.raises(FileFormatError):
             parse_qvector("\n")
 
+    def test_a_long_file_is_refused_at_its_second_line(self):
+        # 200,000 lines: what is read stays within about one block
+        text = "1 2 3 4 5 6\n" * 200_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError,
+                               match="^line 2: expected a single line of six values$"):
+                parse_qvector(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * fileio._BLOCK_CHARS
+
 
 # -- differential tests against the per-token loops in reference.py ---------
 
@@ -258,10 +272,11 @@ FINITE_FLOATS = ALL_FLOATS.filter(math.isfinite)
 
 
 def outcome(parse, text):
-    """The bits of what parse returns, or the type, message and line it raises."""
+    """The bits of what parse returns, or the type, message and line of
+    what it raises; an error other than the readers' own differs too."""
     try:
         got = parse(text)
-    except (FileFormatError, DimensionError) as exc:
+    except Exception as exc:
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
     if isinstance(got, np.ndarray):
         return got.shape, got.view(np.uint64).tolist()
@@ -489,6 +504,51 @@ class TestParseMatchesReference:
         assert_parses_alike(parse_coefficients, reference_parse_coefficients,
                             text, block_chars)
 
+    @pytest.mark.parametrize("bad", ["x", "", "1e", ".", "1.2.3", "1e400"])
+    @pytest.mark.parametrize("where", ["first block", "middle block", "last line"])
+    @pytest.mark.parametrize("kind", ["matrix", "coefficients"])
+    def test_writer_file_with_one_bad_literal(self, writer_files, kind, where, bad):
+        text = writer_files[kind]
+        lines = text.split("\n")
+        k = {"first block": 1, "middle block": len(lines) // 2,
+             "last line": len(lines) - 2}[where]
+        # the line's last literal follows its last separator
+        cut = max(lines[k].rfind(" "), lines[k].rfind(",")) + 1
+        lines[k] = lines[k][:cut] + bad
+        assert_parses_alike(PARSERS[kind], REFERENCES[kind], "\n".join(lines))
+
+    @pytest.mark.parametrize("kind", ["matrix", "coefficients"])
+    def test_canonical_blocks_then_tab_separated_blocks(self, writer_files, kind):
+        text = writer_files[kind]
+        half = text.index("\n", len(text) // 2)
+        assert half > fileio._BLOCK_CHARS
+        text = text[:half] + text[half:].replace(" ", "\t")
+        assert outcome(PARSERS[kind], text) == outcome(PARSERS[kind], writer_files[kind])
+        assert_parses_alike(PARSERS[kind], REFERENCES[kind], text)
+
+    @pytest.mark.parametrize("end", ["", "\n\n", "\n \n\t\n"],
+                             ids=["no final newline", "blank lines", "space lines"])
+    @pytest.mark.parametrize("kind", ["matrix", "coefficients"])
+    def test_writer_file_ends(self, writer_files, kind, end):
+        text = writer_files[kind][:-1] + end
+        assert outcome(PARSERS[kind], text) == outcome(PARSERS[kind], writer_files[kind])
+        assert_parses_alike(PARSERS[kind], REFERENCES[kind], text)
+
+    def test_canonical_header_over_a_short_body(self):
+        # 65536 rows of one entry: the 64 GiB array and a 128 KiB row layout
+        # are never made; the bad row is found in one row of scratch (1 MiB)
+        # and one block of lines
+        n = 2 ** 16
+        text = f"{n}\n" + "0,0\n" * n
+        tracemalloc.start()
+        try:
+            got = outcome(parse_matrix, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == ("FileFormatError", f"line 2: expected {n} entries, found 1", 2)
+        assert peak < 16 * n + 2 ** 20
+
     MATRIX_CORPUS = [
         "2\n1,2,3 4\n0,0 0,0\n",
         "2\n1 ,2 0,0\n0,0 0,0\n",
@@ -533,6 +593,83 @@ class TestParseMatchesReference:
     def test_coefficient_corpus(self, text, block_chars):
         assert_parses_alike(parse_coefficients, reference_parse_coefficients,
                             text, block_chars)
+
+
+PARSERS = {"matrix": parse_matrix, "coefficients": parse_coefficients}
+REFERENCES = {"matrix": reference_parse_matrix,
+              "coefficients": reference_parse_coefficients}
+
+
+def _writer_files():
+    """A 64 x 64 matrix file and its m = 6 coefficient file, as the writers
+    write them: each spans several blocks, and exponent forms are among
+    their literals."""
+    rng = np.random.default_rng(29)
+    a = random_complex_matrix(rng, 64)
+    entries = a.reshape(-1)
+    entries.real[:len(SPECIAL_FLOATS)] = SPECIAL_FLOATS
+    entries.imag[::97] = 1e-300
+    return {"matrix": format_matrix(a),
+            "coefficients": format_coefficients(decompose(a, 0.0))}
+
+
+@pytest.fixture(scope="module")
+def writer_files():
+    return _writer_files()
+
+
+def test_float_accepts_exactly_the_literal_grammar():
+    # A block laid out as the writers lay it out is converted by float()
+    # with no regular expression, so over the literal characters float()
+    # must accept exactly what _REAL matches: here every string of up to
+    # six of 0 1 + - . e E, which spells each case of the grammar.
+    disagree = []
+    for length in range(1, 7):
+        for chars in itertools.product("01+-.eE", repeat=length):
+            token = "".join(chars)
+            try:
+                float(token)
+                accepted = True
+            except ValueError:
+                accepted = False
+            if accepted != bool(fileio._REAL_RE.match(token)):
+                disagree.append(token)
+    assert not disagree, disagree[:10]
+
+
+CANONICAL_BAD = [
+    # laid out as the writers lay them out, with an empty, malformed or
+    # non-finite literal
+    ("matrix", "2\n,0 0,0\n0,0 0,0\n"), ("matrix", "2\n0,0 0,\n0,0 0,0\n"),
+    ("matrix", "1\n,\n"), ("matrix", "2\n0,0 0,0\n0,1e 0,0\n"),
+    ("matrix", "2\n0,0 0,0\n0,0 .,0\n"), ("matrix", "1\n1e400,0\n"),
+    ("matrix", "1\n0,-1e999\n"),
+    ("coefficients", "1\n 1 0\n2 3 0\n"), ("coefficients", "1\n1  0\n"),
+    ("coefficients", "1\n1 0 \n"), ("coefficients", "2\n0e 1 0\n"),
+    ("coefficients", "2\n012 1 0\n"), ("coefficients", "2\n0 1 0\n"),
+    ("coefficients", "1\n1 1e 0\n"), ("coefficients", "1\n1 1e999 0\n"),
+    ("coefficients", "1\n0 1 0\n1 0 -1e400\n"),
+]
+
+
+def test_canonical_blocks_with_bad_literals():
+    for kind, text in CANONICAL_BAD:
+        want = outcome(REFERENCES[kind], text)
+        assert want[0] == "FileFormatError", text
+        assert outcome(PARSERS[kind], text) == want, text
+
+
+def test_writer_made_files_skip_the_regex():
+    # With row and literal patterns that match nothing, a block that fell
+    # through to the regex check would reach the error search, which finds
+    # no error in a writer-made block and fails its assertion.
+    files = _writer_files()
+    want = {kind: outcome(parse, files[kind]) for kind, parse in PARSERS.items()}
+    assert not any(isinstance(got[0], str) for got in want.values())  # no error
+    with mock.patch.object(fileio, "_ROW", "(?!)"), \
+            mock.patch.object(fileio, "_REAL", "(?!)"):
+        for kind, parse in PARSERS.items():
+            assert outcome(parse, files[kind]) == want[kind]
 
 
 def long_coefficient_lines(rng, count):

@@ -262,6 +262,20 @@ MUTANTS = [
                fileio._shortest, "(vb > mid) | ((vb == mid) & (s & 1 == 1))", "vb > mid")),),
            frozenset(),
            test_fileio.test_writer_matches_repr_on_the_battery),
+    Mutant("the readers' canonical check ignores the literal count",
+           ((fileio, "_literals", rewritten(
+               fileio._literals, " if len(literals) == count * len(line) else None", "")),),
+           frozenset(),
+           test_fileio.test_canonical_blocks_with_bad_literals),
+    Mutant("the readers skip their finite check",
+           ((fileio, "_finite_reals", rewritten(
+               fileio._finite_reals, " if np.isfinite(reals).all() else None", "")),),
+           frozenset(),
+           test_fileio.test_canonical_blocks_with_bad_literals),
+    Mutant("e and E are missing from the literal characters the readers delete",
+           ((fileio, "_LITERAL", b"0123456789+-."),),
+           frozenset(),
+           test_fileio.test_writer_made_files_skip_the_regex),
 ]
 
 
