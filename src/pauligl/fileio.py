@@ -21,16 +21,16 @@ Double.toString) in exact uint64 array arithmetic, changed to match repr:
 one digit fewer is tried whenever s >= 10 (the JDK's s >= 100 writes
 5e-324 as 4.9e-324), and that branch, too, uses the exponent k + dk.
 
-Files are read and written a block of lines at a time.  A block laid out
-as the writers lay it out (ASCII, literal characters between single
-separators) is checked with byte operations, and its literals are
-converted with float(), which over those characters accepts exactly the
-literal grammar.  Any other block is read a matrix row or the block's
-lines at a time, each checked with one regular expression.  Parse errors
-raise FileFormatError carrying the 1-based line number of the first error
-in line order, with one exception: a matrix file with the wrong number of
-rows reports the count first, at the line of the first extra or missing
-row, before any row is read.
+Files are read and written a block of lines at a time.  Byte operations
+check that a block is laid out as the writers lay it out (ASCII, literal
+characters between single separators); a block that is not is re-spaced
+once (each line's fields joined by single spaces) and checked again.  The
+literals of a block that passes are converted with float(), which over
+those characters accepts exactly the literal grammar.  A block that fails
+is walked a line at a time to find its first error.  Parse errors raise FileFormatError carrying the 1-based
+line number of the first error in line order, with one exception: a
+matrix file with the wrong number of rows reports the count first, at the
+line of the first extra or missing row, before any row is read.
 """
 
 from __future__ import annotations
@@ -59,20 +59,10 @@ __all__ = [
 ]
 
 # Digits are spelled [0-9]: \d would match every Unicode decimal digit.
-# Each accepted literal has exactly one parse, so the row and block patterns
-# that repeat it fail in linear time; an ambiguous spelling such as
-# [0-9]+\.?[0-9]* backtracks exponentially over the tokens of a bad row.
-_REAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-_REAL_RE = re.compile(_REAL + r"\Z")
+_REAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
-# One matrix row, its tokens joined by single spaces.  This and the block
-# pattern are compiled where they are used, so that importing the module
-# does not pay for them; re caches them after the first use.
-_ROW = rf"{_REAL},{_REAL}(?: {_REAL},{_REAL})*\Z"
-# what str.split() splits on, minus the newline that joins a block's lines
-_SPACE = r"[^\S\n]"
 
-# The characters of a real literal (_REAL).  Deleting them from a block
+# The characters of a real literal (_REAL_RE).  Deleting them from a block
 # laid out as the writers lay it out leaves only its separators.
 _LITERAL = b"0123456789+-.eE"
 
@@ -278,10 +268,12 @@ def _line_blocks(text: str):
     ending with "\n" (added to the last line), so the lines of the whole
     text never exist at once.
     """
-    # the lines end with the one that holds the last non-space character
+    # the lines end with the one that holds the last non-space character;
+    # str.rstrip() copies what it keeps, so it strips 4096 characters at a time
     stop = len(text)
     while stop and text[stop - 1].isspace():
-        stop -= 1
+        start = max(stop - 4096, 0)
+        stop = start + len(text[start:stop].rstrip())
     if stop:
         stop += len(_line(text, stop - 1, False)) - 1
     pos = 0
@@ -316,9 +308,22 @@ def _canonical_lines(block: str, line: bytes) -> int | None:
     return count if layout == line * count else None
 
 
-def _literals(block: str, count: int, line: bytes) -> list | None:
+def _spaced(block: str) -> str:
+    """block with each line's fields joined by single spaces and ended by
+    "\n": the separators the writers write, if it has the right fields."""
+    return "".join(" ".join(raw.split()) + "\n" for raw in block.splitlines())
+
+
+def _fields(block: str, count: int | None, line: bytes) -> list | None:
     """The literals of a block in which _canonical_lines found count lines
-    laid out as `line`, or None if a literal is empty."""
+    laid out as `line`.  A block it found otherwise (count None) is
+    re-spaced and checked once more.  None if it still is not laid out as
+    `line`, or if a literal is empty."""
+    if count is None:
+        block = _spaced(block)
+        count = _canonical_lines(block, line)
+        if count is None:
+            return None
     literals = block.replace(",", " ").split()
     # each separator ends one literal, so an empty literal leaves fewer
     return literals if len(literals) == count * len(line) else None
@@ -327,9 +332,9 @@ def _literals(block: str, count: int, line: bytes) -> list | None:
 def _finite_reals(literals: list) -> np.ndarray | None:
     """The literals as floats, or None unless each is a finite real.
 
-    Each literal is spelled with _LITERAL's characters only, or matched
-    _REAL: over those characters float() accepts exactly what _REAL
-    matches (a test checks every string of up to six of them).
+    Each literal is spelled with _LITERAL's characters only, and over
+    those float() accepts exactly what _REAL_RE matches (a test checks
+    every string of up to six of them).
     """
     try:
         reals = np.fromiter(map(float, literals), float, len(literals))
@@ -359,19 +364,24 @@ def format_matrix(matrix) -> str:
     return _text(f"{n}\n", blocks)
 
 
-def _raise_row_error(tokens: list, n: int, lineno: int):
-    """Raise the first error of a matrix row, in the order the row is read."""
-    if len(tokens) != n:
-        raise FileFormatError(
-            f"expected {n} entries, found {len(tokens)}", line=lineno)
-    for token in tokens:
-        parts = token.split(",")
-        if len(parts) != 2:
+def _raise_row_error(block: str, n: int, first: int) -> int:
+    """Raise the first error of a block of matrix rows, the first on line
+    `first`, in the order the rows are read; if there is none, return the
+    number of rows."""
+    rows = block.splitlines()
+    for lineno, raw in enumerate(rows, start=first):
+        tokens = raw.split()
+        if len(tokens) != n:
             raise FileFormatError(
-                f"entry must be 're,im', got {token!r}", line=lineno)
-        _parse_real(parts[0], lineno)
-        _parse_real(parts[1], lineno)
-    raise AssertionError(f"line {lineno}: row check and entry checks disagree")
+                f"expected {n} entries, found {len(tokens)}", line=lineno)
+        for token in tokens:
+            parts = token.split(",")
+            if len(parts) != 2:
+                raise FileFormatError(
+                    f"entry must be 're,im', got {token!r}", line=lineno)
+            _parse_real(parts[0], lineno)
+            _parse_real(parts[1], lineno)
+    return len(rows)
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -379,8 +389,9 @@ def parse_matrix(text: str) -> np.ndarray:
     n = _parse_int(head, 1, "matrix side")
     if n < 1:
         raise FileFormatError(f"matrix side must be >= 1, got {n}", line=1)
-    # a valid file spends 4 characters or more per entry ("0,0" and a separator);
-    # a shorter one has a bad row, found in one row of scratch, not in n * n
+    # a valid file spends 4 characters or more per entry ("0,0" and a
+    # separator); a shorter one has a bad row, which the walk finds without
+    # the n x n array
     fits = len(text) >= 4 * n * n
     line = b", " * (n - 1) + b",\n" if fits else None
     # the line count of each block laid out as the writer lays it out, else None
@@ -391,26 +402,21 @@ def parse_matrix(text: str) -> np.ndarray:
     if found != n:
         bad = found + 2 if found < n else n + 2
         raise FileFormatError(f"expected {n} rows, found {found}", line=bad)
-    out = np.empty((n if fits else 1, n), dtype=complex)
+    out = np.empty((n if fits else 0, n), dtype=complex)
     reals = out.view(float)  # row i holds re, im, re, im, ... of matrix row i
-    row_re = re.compile(_ROW)
     i = 0  # rows read
     for block, count in zip(_header(text, "matrix")[1], counts):
-        literals = None if count is None else _literals(block, count, line)
+        literals = _fields(block, count, line) if fits else None
         rows = None if literals is None else _finite_reals(literals)
-        if rows is not None:
-            reals[i:i + count] = rows.reshape(count, 2 * n)
-            i += count
+        if rows is None:
+            # the walk returns past a block of good rows, which fails the
+            # checks only in a file too short to fit (it is not checked)
+            first, i = i + 2, i + _raise_row_error(block, n, i + 2)
+            if fits:
+                raise AssertionError(f"line {first}: block check and row checks disagree")
             continue
-        for raw in block.splitlines():
-            tokens = raw.split()
-            if len(tokens) == n and row_re.match(" ".join(tokens)):
-                row = _finite_reals(",".join(tokens).split(","))
-                if row is not None:
-                    reals[i if fits else 0] = row
-                    i += 1
-                    continue
-            _raise_row_error(tokens, n, i + 2)
+        reals[i:i + len(rows) // (2 * n)] = rows.reshape(-1, 2 * n)
+        i += len(rows) // (2 * n)
     return out
 
 
@@ -450,7 +456,7 @@ def _check_distinct(codes: np.ndarray, m: int) -> None:
         raise FileFormatError(f"duplicate index {digits}", line=k + 2)
 
 
-def _raise_block_error(lines: list, first: int, m: int, codes: np.ndarray):
+def _raise_block_error(block: str, first: int, m: int, codes: np.ndarray):
     """Raise the first error of a block of lines, the first on line `first`.
 
     codes holds the indices of every earlier line, which were all read
@@ -458,7 +464,7 @@ def _raise_block_error(lines: list, first: int, m: int, codes: np.ndarray):
     """
     _check_distinct(codes, m)
     seen = set(codes.tolist())
-    for lineno, raw in enumerate(lines, start=first):
+    for lineno, raw in enumerate(block.splitlines(), start=first):
         parts = raw.split()
         if len(parts) != 3:
             raise FileFormatError(
@@ -499,22 +505,14 @@ def parse_coefficients(text: str) -> CoefficientTensor:
     if m < 1:
         raise FileFormatError(f"tensor order must be >= 1, got {m}", line=1)
     _checked_order(m)
-    block_re = re.compile(rf"(?:{_SPACE}*[0-3]{{{m}}}{_SPACE}+{_REAL}"
-                          rf"{_SPACE}+{_REAL}{_SPACE}*\n)*\Z")
     weights = np.uint64(4) ** np.arange(m - 1, -1, -1, dtype=np.uint64)
     codes, values = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=complex)]
     first = 2  # line number of the block's first line
     for block in body:
-        count = _canonical_lines(block, b"  \n")
-        fields = None if count is None else _literals(block, count, b"  \n")
+        fields = _fields(block, _canonical_lines(block, b"  \n"), b"  \n")
         got = None if fields is None else _coefficient_lines(fields, m)
         if got is None:
-            lines = block.splitlines()
-            block = "\n".join(lines) + "\n"
-            if block_re.match(block):
-                got = _coefficient_lines(block.split(), m)
-            if got is None:
-                _raise_block_error(lines, first, m, np.concatenate(codes))
+            _raise_block_error(block, first, m, np.concatenate(codes))
         digits, reals = got
         codes.append(digits.astype(np.uint64) @ weights)
         values.append(reals.view(complex))

@@ -534,20 +534,34 @@ class TestParseMatchesReference:
         assert outcome(PARSERS[kind], text) == outcome(PARSERS[kind], writer_files[kind])
         assert_parses_alike(PARSERS[kind], REFERENCES[kind], text)
 
-    def test_canonical_header_over_a_short_body(self):
-        # 65536 rows of one entry: the 64 GiB array and a 128 KiB row layout
-        # are never made; the bad row is found in one row of scratch (1 MiB)
-        # and one block of lines
-        n = 2 ** 16
-        text = f"{n}\n" + "0,0\n" * n
+    @staticmethod
+    def short_body_peak(n, row):
+        """What parse_matrix makes of n rows of one entry under a header n,
+        and its tracemalloc peak."""
+        text = f"{n}\n" + f"{row}\n" * n
         tracemalloc.start()
         try:
             got = outcome(parse_matrix, text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return got, peak
+
+    def test_canonical_header_over_a_short_body(self):
+        # 65536 rows of one entry: the 64 GiB array, the 128 KiB row layout
+        # and a row of scratch are never made; the walk finds the bad row in
+        # the first block of lines
+        n = 2 ** 16
+        got, peak = self.short_body_peak(n, "0,0")
         assert got == ("FileFormatError", f"line 2: expected {n} entries, found 1", 2)
-        assert peak < 16 * n + 2 ** 20
+        assert peak < 2 ** 20
+
+    def test_a_million_one_character_rows(self):
+        # 2 MB of text under a header of 10^6: a row of scratch would be 16 MB
+        n = 10 ** 6
+        got, peak = self.short_body_peak(n, "0")
+        assert got == ("FileFormatError", f"line 2: expected {n} entries, found 1", 2)
+        assert peak < 2 ** 20
 
     MATRIX_CORPUS = [
         "2\n1,2,3 4\n0,0 0,0\n",
@@ -593,6 +607,11 @@ class TestParseMatchesReference:
     def test_coefficient_corpus(self, text, block_chars):
         assert_parses_alike(parse_coefficients, reference_parse_coefficients,
                             text, block_chars)
+
+    def test_ten_million_trailing_blanks(self):
+        # the end of the text is found a piece at a time, not a character
+        assert_parses_alike(parse_coefficients, reference_parse_coefficients,
+                            "1\n0 1 0" + " " * 10 ** 7)
 
 
 PARSERS = {"matrix": parse_matrix, "coefficients": parse_coefficients}
@@ -659,17 +678,58 @@ def test_canonical_blocks_with_bad_literals():
         assert outcome(PARSERS[kind], text) == want, text
 
 
-def test_writer_made_files_skip_the_regex():
-    # With row and literal patterns that match nothing, a block that fell
-    # through to the regex check would reach the error search, which finds
-    # no error in a writer-made block and fails its assertion.
+def _no_respacing(block):
+    raise AssertionError(f"re-spaced {block[:40]!r}")
+
+
+def test_writer_made_files_are_not_respaced():
+    # Each block of a writer-made file passes the layout check as it is, so
+    # the files read as the reference reads them with a re-spacing step
+    # that raises.
     files = _writer_files()
-    want = {kind: outcome(parse, files[kind]) for kind, parse in PARSERS.items()}
-    assert not any(isinstance(got[0], str) for got in want.values())  # no error
-    with mock.patch.object(fileio, "_ROW", "(?!)"), \
-            mock.patch.object(fileio, "_REAL", "(?!)"):
+    with mock.patch.object(fileio, "_spaced", _no_respacing):
         for kind, parse in PARSERS.items():
-            assert outcome(parse, files[kind]) == want[kind]
+            want = outcome(REFERENCES[kind], files[kind])
+            assert not isinstance(want[0], str)  # no error
+            assert outcome(parse, files[kind]) == want
+
+
+BLANKS = " \t\xa0"
+LINE_ENDS = ["\n", "\r\n", "\x1c"]
+
+
+def respaced(text, rnd):
+    """text with each separator a run of 1-3 of BLANKS, 0-2 of them before
+    and after each line, and each line ended by one of LINE_ENDS."""
+    def run(least, most):
+        return "".join(rnd.choice(BLANKS) for _ in range(rnd.randint(least, most)))
+    out = []
+    for line in text.splitlines():
+        fields = line.split(" ")
+        out += [run(0, 2), fields[0], *(run(1, 3) + f for f in fields[1:]),
+                run(0, 2), rnd.choice(LINE_ENDS)]
+    return "".join(out)
+
+
+WRITTEN = {
+    "matrix": st.integers(1, 4).flatmap(lambda n: st.lists(
+        FINITE_FLOATS, min_size=2 * n * n, max_size=2 * n * n).map(
+        lambda reals: format_matrix(np.array(reals).view(complex).reshape(n, n)))),
+    "coefficients": coefficient_tensors(max_m=3).map(format_coefficients),
+}
+
+
+@given(st.sampled_from(sorted(WRITTEN)), st.data(),
+       st.randoms(use_true_random=False), st.sampled_from([0, 10, None]))
+def test_respaced_writer_files_read_alike(kind, data, rnd, block_chars):
+    # a writer-made file laid out again by hand or by another tool reads as
+    # the writer's own and as the reference reads it
+    text = data.draw(WRITTEN[kind])
+    want = outcome(PARSERS[kind], text)
+    assert not isinstance(want[0], str)  # no error
+    spaced = respaced(text, rnd)
+    assert outcome(REFERENCES[kind], spaced) == want
+    assert_parses_alike(PARSERS[kind], REFERENCES[kind], spaced, block_chars)
 
 
 def long_coefficient_lines(rng, count):

@@ -263,8 +263,8 @@ MUTANTS = [
            frozenset(),
            test_fileio.test_writer_matches_repr_on_the_battery),
     Mutant("the readers' canonical check ignores the literal count",
-           ((fileio, "_literals", rewritten(
-               fileio._literals, " if len(literals) == count * len(line) else None", "")),),
+           ((fileio, "_fields", rewritten(
+               fileio._fields, " if len(literals) == count * len(line) else None", "")),),
            frozenset(),
            test_fileio.test_canonical_blocks_with_bad_literals),
     Mutant("the readers skip their finite check",
@@ -275,7 +275,13 @@ MUTANTS = [
     Mutant("e and E are missing from the literal characters the readers delete",
            ((fileio, "_LITERAL", b"0123456789+-."),),
            frozenset(),
-           test_fileio.test_writer_made_files_skip_the_regex),
+           test_fileio.test_writer_made_files_are_not_respaced),
+    Mutant("re-spacing keeps each line's leading whitespace",
+           ((fileio, "_spaced", rewritten(
+               fileio._spaced, '" ".join(raw.split())',
+               'raw[:len(raw) - len(raw.lstrip())] + " ".join(raw.split())')),),
+           frozenset(),
+           test_fileio.test_respaced_writer_files_read_alike),
 ]
 
 
