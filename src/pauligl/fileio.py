@@ -2,7 +2,7 @@
 
 Three formats, all line-oriented ASCII:
 
-  matrix file       first line: side N; then N rows of N tokens "re,im"
+  matrix file       first line: side N >= 1; then N rows of N tokens "re,im"
   coefficient file  first line: tensor order m; then zero or more lines
                     "D re im" where D is m digits, each in 0..3
   vector-pair file  one line "a1 a2 a3 b1 b2 b3"
@@ -11,9 +11,9 @@ Reals print as repr prints them (the shortest decimal that reads back),
 with integral values printed as bare integers ("1", not "1.0") and
 negative zero kept as "-0".  Coefficient files are written sorted by
 digit string with near-zero entries already pruned, so equal tensors
-produce byte-identical files.  The readers accept finite values only, so
-the writers refuse inf and nan with DomainError (a CoefficientTensor never
-holds them).
+produce byte-identical files.  A writer refuses what its reader refuses:
+inf and nan with DomainError (a CoefficientTensor never holds them), and
+a matrix that is not square or has side 0 with DimensionError.
 
 The writer finds the digits of a block of reals with Schubfach (R.
 Giulietti, "The Schubfach way to render doubles", 2020; JDK 19's
@@ -23,14 +23,16 @@ one digit fewer is tried whenever s >= 10 (the JDK's s >= 100 writes
 
 Files are read and written a block of lines at a time.  Byte operations
 check that a block is laid out as the writers lay it out (ASCII, literal
-characters between single separators); a block that is not is re-spaced
-once (each line's fields joined by single spaces) and checked again.  The
-literals of a block that passes are converted with float(), which over
-those characters accepts exactly the literal grammar.  A block that fails
-is walked a line at a time to find its first error.  Parse errors raise FileFormatError carrying the 1-based
-line number of the first error in line order, with one exception: a
-matrix file with the wrong number of rows reports the count first, at the
-line of the first extra or missing row, before any row is read.
+characters between single separators, for a matrix row the bytes of _row
+that the writer tiles); a block that is not is re-spaced once (each line's
+fields joined by single spaces) and checked again.  A literal, in a block
+or alone, is spelled with _LITERAL's characters only, over which float()
+accepts exactly the literal grammar.  A block that fails is walked a line
+at a time to find its first error.  Parse errors raise FileFormatError
+carrying the 1-based line number of the first error in line order, with
+one exception: a matrix file with the wrong number of rows reports the
+count first, at the line of the first extra or missing row, before any
+row is read.
 """
 
 from __future__ import annotations
@@ -38,13 +40,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 
 import numpy as np
 
 from .algebra import code_digits
 from .decomposition import CoefficientTensor, _checked_order
-from .errors import DomainError, FileFormatError
+from .errors import DimensionError, DomainError, FileFormatError
 from .symmetry import QVector
 
 __all__ = [
@@ -58,12 +59,9 @@ __all__ = [
     "parse_qvector",
 ]
 
-# Digits are spelled [0-9]: \d would match every Unicode decimal digit.
-_REAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
-_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
-
-# The characters of a real literal (_REAL_RE).  Deleting them from a block
-# laid out as the writers lay it out leaves only its separators.
+# The characters of a real literal, over which float() accepts exactly the
+# grammar [+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?.  Deleting them
+# from a block laid out as the writers lay it out leaves its separators.
 _LITERAL = b"0123456789+-.eE"
 
 # Files are read in blocks of about this many characters, cut after a
@@ -110,7 +108,7 @@ def _tables() -> tuple:
     digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
     exponent = "".join(f"{e:+04}" for e in range(-324, 309)).encode()
     templates = np.array([_template(key // _NSIG, key % _NSIG + 1)
-                          for key in range(24 * _NSIG)], dtype=np.intp)
+                          for key in range(22 * _NSIG)], dtype=np.intp)
     return (np.array(g >> 63, dtype=np.uint64), np.array(g & (2 ** 63 - 1), dtype=np.uint64),
             10 ** np.arange(19, dtype=np.uint64), digits.view(np.uint32).ravel(),
             np.select(list(digits.T[::-1] > 48), [4, 3, 2, 1]).astype(np.uint8),
@@ -195,9 +193,9 @@ def _slots(reals: np.ndarray, seps) -> np.ndarray:
     del chunks
     places += np.arange(0, 20, 4, dtype=np.uint8)[:, None] * (places > 0)
     nsig = places.max(axis=0) - 2
-    # class: decpt + 3 in fixed form, else 20 + 2 * (exponent < 0) + (3 digits)
+    # class: decpt + 3 in fixed form, else 20 + (3 exponent digits)
     cls = np.where((decpt > -4) & (decpt < 17), decpt + 3,
-                   20 + 2 * (decpt < 1) + ((decpt < -98) | (decpt > 100)))
+                   20 + ((decpt < -98) | (decpt > 100)))
     key = cls * _NSIG + nsig - 1
     out = np.empty((len(key), 25), dtype=np.uint8)
     for start in range(0, len(key), 1024):  # 200 KiB of indices at a time
@@ -227,9 +225,12 @@ def format_real(x: float) -> str:
 
 def parse_real_literal(token: str) -> float:
     """Strict decimal-literal parse; rejects inf, nan, and underscores."""
-    if not _REAL_RE.match(token):
-        raise ValueError(f"not a decimal literal: {token!r}")
-    value = float(token)
+    try:
+        if token.translate(dict.fromkeys(_LITERAL)):  # a character no literal has
+            raise ValueError
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"not a decimal literal: {token!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"non-finite value: {token!r}")
     return value
@@ -243,7 +244,9 @@ def _parse_real(token: str, line: int) -> float:
 
 
 def _parse_int(token: str, line: int | None, what: str) -> int:
-    if not _INT_RE.match(token):
+    """int(token) for one optional sign, then ASCII digits."""
+    digits = token[1:] if token.startswith(("+", "-")) else token
+    if not (digits.isascii() and digits.isdigit()):
         raise FileFormatError(f"{what} must be an integer, got {token!r}", line=line)
     try:
         return int(token)
@@ -314,11 +317,11 @@ def _spaced(block: str) -> str:
     return "".join(" ".join(raw.split()) + "\n" for raw in block.splitlines())
 
 
-def _fields(block: str, count: int | None, line: bytes) -> list | None:
-    """The literals of a block in which _canonical_lines found count lines
-    laid out as `line`.  A block it found otherwise (count None) is
-    re-spaced and checked once more.  None if it still is not laid out as
-    `line`, or if a literal is empty."""
+def _fields(block: str, line: bytes) -> list | None:
+    """The literals of a block whose lines are laid out as `line`
+    (_canonical_lines), re-spaced once first if they are not.  None if they
+    still are not, or if a literal is empty."""
+    count = _canonical_lines(block, line)
     if count is None:
         block = _spaced(block)
         count = _canonical_lines(block, line)
@@ -330,12 +333,8 @@ def _fields(block: str, count: int | None, line: bytes) -> list | None:
 
 
 def _finite_reals(literals: list) -> np.ndarray | None:
-    """The literals as floats, or None unless each is a finite real.
-
-    Each literal is spelled with _LITERAL's characters only, and over
-    those float() accepts exactly what _REAL_RE matches (a test checks
-    every string of up to six of them).
-    """
+    """The literals, each spelled with _LITERAL's characters only, as
+    floats; None unless each is a finite real."""
     try:
         reals = np.fromiter(map(float, literals), float, len(literals))
     except ValueError:
@@ -343,21 +342,26 @@ def _finite_reals(literals: list) -> np.ndarray | None:
     return reals if np.isfinite(reals).all() else None
 
 
+def _row(n: int) -> bytes:
+    """The separators of a matrix row of n entries, one after each real."""
+    return b", " * (n - 1) + b",\n"
+
+
 def format_matrix(matrix) -> str:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2:
         raise TypeError(f"expected a 2-D matrix, got {a.ndim} dimensions")
+    n = len(a)
+    if a.shape != (n, n) or not n:
+        raise DimensionError(f"cannot write a {a.shape[0]} x {a.shape[1]} matrix: "
+                             "a matrix file holds a square one of side >= 1")
     if not np.isfinite(a).all():
         i, j = np.argwhere(~np.isfinite(a))[0].tolist()
         raise DomainError(
             f"cannot write the non-finite matrix entry at ({i}, {j}): {a[i, j]}")
-    n, cols = a.shape
-    if not cols:
-        return f"{n}\n" + "\n" * n
-    # whole rows of ~2 * _BLOCK_LINES reals; "re,im" ends in " ", or "\n"
-    per = max(1, _BLOCK_LINES // cols)
-    seps = np.tile(np.frombuffer(b", " * cols, dtype=np.uint8), per)
-    seps[2 * cols - 1::2 * cols] = ord("\n")
+    # whole rows of ~2 * _BLOCK_LINES reals
+    per = max(1, _BLOCK_LINES // n)
+    seps = np.tile(np.frombuffer(_row(n), dtype=np.uint8), per)
     blocks = (_slots(reals, seps[:len(reals)]) for reals in (
         np.ascontiguousarray(a[start:start + per]).view(float).ravel()
         for start in range(0, n, per)))
@@ -393,20 +397,16 @@ def parse_matrix(text: str) -> np.ndarray:
     # separator); a shorter one has a bad row, which the walk finds without
     # the n x n array
     fits = len(text) >= 4 * n * n
-    line = b", " * (n - 1) + b",\n" if fits else None
-    # the line count of each block laid out as the writer lays it out, else None
-    counts, found = [], 0
-    for block in body:
-        counts.append(_canonical_lines(block, line) if fits else None)
-        found += len(block.splitlines()) if counts[-1] is None else counts[-1]
+    line = _row(n) if fits else None
+    found = sum(len(block.splitlines()) for block in body)
     if found != n:
         bad = found + 2 if found < n else n + 2
         raise FileFormatError(f"expected {n} rows, found {found}", line=bad)
     out = np.empty((n if fits else 0, n), dtype=complex)
     reals = out.view(float)  # row i holds re, im, re, im, ... of matrix row i
     i = 0  # rows read
-    for block, count in zip(_header(text, "matrix")[1], counts):
-        literals = _fields(block, count, line) if fits else None
+    for block in _header(text, "matrix")[1]:
+        literals = _fields(block, line) if fits else None
         rows = None if literals is None else _finite_reals(literals)
         if rows is None:
             # the walk returns past a block of good rows, which fails the
@@ -509,7 +509,7 @@ def parse_coefficients(text: str) -> CoefficientTensor:
     codes, values = [np.empty(0, dtype=np.uint64)], [np.empty(0, dtype=complex)]
     first = 2  # line number of the block's first line
     for block in body:
-        fields = _fields(block, _canonical_lines(block, b"  \n"), b"  \n")
+        fields = _fields(block, b"  \n")
         got = None if fields is None else _coefficient_lines(fields, m)
         if got is None:
             _raise_block_error(block, first, m, np.concatenate(codes))

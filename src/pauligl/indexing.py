@@ -46,6 +46,10 @@ class Half(enum.Enum):
 _HALVES = np.array([Half.HIGH, Half.LOW], dtype=object)
 _LOW, _HIGH = np.array(Half.LOW, dtype=object), np.array(Half.HIGH, dtype=object)
 
+# Array results are int64: a shape must have fewer entries than this, and a
+# block side at most this many (its indices are below it).
+_INT64_LIMIT = 1 << 63
+
 
 @dataclass(frozen=True)
 class BlockCuts:
@@ -90,6 +94,12 @@ def _integer_array(a, what: str) -> np.ndarray:
     return a
 
 
+def _checked_side(cuts: BlockCuts) -> None:
+    """Refuse a side past 2**63, whose indices int64 arrays cannot all hold."""
+    if cuts.n > _INT64_LIMIT:
+        raise DomainError(f"matrix side {cuts.n} is too large for int64 index arrays")
+
+
 def block_local_from_global(i, j, cuts: BlockCuts) -> BlockLocal:
     """Locate global entry (i, j) as (block, local offset).
 
@@ -97,11 +107,13 @@ def block_local_from_global(i, j, cuts: BlockCuts) -> BlockLocal:
     integers), broadcast together: the BlockLocal then holds object arrays
     of Half members and int64 offsets.  An index out of range raises
     DomainError, for arrays the scalar call's for the first bad entry in
-    ravel order; an array of a non-integer dtype raises TypeError.
+    ravel order; an array of a non-integer dtype raises TypeError, and a
+    side past 2**63 raises DomainError.
     """
     if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
         i, j = np.broadcast_arrays(_integer_array(i, "row index"),
                                    _integer_array(j, "col index"))
+        _checked_side(cuts)
         bad = (i < 0) | (i >= cuts.n) | (j < 0) | (j >= cuts.n)
         if np.logical_or.reduce(bad, axis=None):
             k = np.argmax(bad)
@@ -145,6 +157,7 @@ def block_global_from_local(loc: BlockLocal, cuts: BlockCuts) -> tuple:
             np.asarray(loc.block_col, dtype=object),
             _integer_array(loc.local_row, "local row"),
             _integer_array(loc.local_col, "local col"))
+        _checked_side(cuts)
         low_row, low_col = br == _LOW, bc == _LOW
         rows = np.where(low_row, cuts.row_cut, cuts.n - cuts.row_cut)
         cols = np.where(low_col, cuts.col_cut, cuts.n - cuts.col_cut)
@@ -181,10 +194,6 @@ def _validate_shape(shape) -> tuple[tuple[int, ...], int]:
         if s < 2:
             raise DomainError(f"factor sizes must be >= 2, got {s}")
     return shape, math.prod(shape)
-
-
-# Array results are int64, so a shape must have fewer entries than this.
-_INT64_LIMIT = 1 << 63
 
 
 def _radix_columns(a: np.ndarray, what: str, shape: tuple, size: int,

@@ -75,11 +75,12 @@ class _Tally:
         self.parts = {}
         self.worst = 0.0
 
-    def check(self, ok, error=None, count=1, part=None) -> None:
-        """Record one check, or ``count`` checks of which ``ok`` passed, in ``part``."""
+    def check(self, ok, error=None, part=None) -> None:
+        """Record in ``part`` one check per entry of ``ok``, a bool or a bool
+        array, each passed where it is true."""
         counts = self.parts.setdefault(part, [0, 0])
-        counts[0] += int(ok)
-        counts[1] += count
+        counts[0] += int(np.count_nonzero(ok))
+        counts[1] += np.size(ok)
         if error is not None:
             self.worst = max(self.worst, error)
 
@@ -94,7 +95,7 @@ def _suite_round_trip(tally, rng) -> str:
         for a in _matrix_stacks(rng, n, 100):
             back = _reconstruct_stack(_decompose_stack(a))
             err = np.abs(back - a).max(axis=(1, 2))
-            tally.check(np.count_nonzero(err < 1e-12 * n), float(err.max()), len(a))
+            tally.check(err < 1e-12 * n, float(err.max()))
     return f"worst error {tally.worst:.3e}, bound 1e-12*side"
 
 
@@ -106,7 +107,7 @@ def _suite_homomorphism(tally, rng) -> str:
             left, right = _decompose_stack(dense).pairs()
             products = _decompose_stack(dense[0::2] @ dense[1::2])
             errors = _coeff_distances(_compose(left, right, 0.0), products)
-            tally.check(np.count_nonzero(errors < 1e-10), errors.max(), len(errors))
+            tally.check(errors < 1e-10, errors.max())
     return f"worst error {tally.worst:.3e}, bound 1e-10"
 
 
@@ -122,8 +123,7 @@ def _suite_orthogonality(tally) -> str:
                           for idx in itertools.product(range(4), repeat=m)])
         # every Tr(a @ b) at once; entries are 0, +-1, +-i, so sums are exact
         traces = np.einsum("aij,bji->ab", dense, dense)
-        tally.check(np.count_nonzero(traces == 2 ** m * np.eye(len(dense))),
-                    count=traces.size, part=f"m={m}")
+        tally.check(traces == 2 ** m * np.eye(len(dense)), part=f"m={m}")
     products, *traces = (f"{part} {passed}/{total}"
                          for part, (passed, total) in tally.parts.items())
     return f"exact; {products}, traces " + ", ".join(traces)
@@ -136,10 +136,9 @@ def _suite_transpose(tally, rng) -> str:
             cs = _decompose_stack(a)
             ts = _transposed(cs)
             errors = _coeff_distances(ts, _decompose_stack(a.transpose(0, 2, 1)))
-            tally.check(np.count_nonzero(errors < 1e-12), errors.max(), len(errors))
+            tally.check(errors < 1e-12, errors.max())
             # distance 0 is == for pruned tensors: finite x - y is 0 iff x == y
-            same = _coeff_distances(_transposed(ts), cs) == 0
-            tally.check(np.count_nonzero(same), count=len(same))
+            tally.check(_coeff_distances(_transposed(ts), cs) == 0)
     return f"worst error {tally.worst:.3e}, bound 1e-12; involution exact"
 
 
@@ -160,7 +159,7 @@ def _suite_bijection(tally) -> str:
     g = [(np.arange(math.prod(shape)), shape) for shape in _factor_shapes(64)]
     same = (np.concatenate([lex_global_from_local(lex_local_from_global(x, s), s)
                             for x, s in g]) == np.concatenate([x for x, _ in g]))
-    tally.check(np.count_nonzero(same), count=len(same), part="lex")
+    tally.check(same, part="lex")
     want, got = [], []
     for n in range(2, 9):
         ij = np.divmod(np.arange(n * n), n)
@@ -170,7 +169,7 @@ def _suite_bijection(tally) -> str:
             got.append(block_global_from_local(block_local_from_global(*ij, cuts), cuts))
     # an entry passes when both its row and its column come back
     same = (np.concatenate(got, axis=1) == np.concatenate(want, axis=1)).all(axis=0)
-    tally.check(np.count_nonzero(same), count=len(same), part="block")
+    tally.check(same, part="block")
     paulis = np.array([pauli_matrix(mu) for mu in range(4)])
     for m in range(1, 4):
         # entry (i, j) is the product over k of factor k's entry at the
@@ -182,7 +181,7 @@ def _suite_bijection(tally) -> str:
         for k, mu in enumerate(np.array(indices).T):
             prod *= paulis[mu][:, rows[k], cols[k]]
         same = (np.array([basis_element(idx) for idx in indices]) == prod).all(axis=(1, 2))
-        tally.check(np.count_nonzero(same), count=len(same), part="kron factorization")
+        tally.check(same, part="kron factorization")
     return f"{tally.part_counts()}; all exact"
 
 
@@ -211,12 +210,11 @@ def _suite_closed_form(tally, rng, ledger: list) -> str:
     left, right = _stack([a for a in basis for _ in basis]), _stack(basis * len(basis))
     same = _coeff_distances(_compose_antisym(left, right, 0.0),
                             _dense_products(left, right)) == 0
-    tally.check(np.count_nonzero(same), count=len(same), part="exhaustive antisym pairs")
+    tally.check(same, part="exhaustive antisym pairs")
     left, right = _random_pairs(rng, _ANTISYM_GL4_CODES, 50)
     errors = _coeff_distances(_compose_antisym(left, right, 0.0),
                               _dense_products(left, right))
-    tally.check(np.count_nonzero(errors <= 1e-12), errors.max(), len(errors),
-                part="random antisym pairs")
+    tally.check(errors <= 1e-12, errors.max(), part="random antisym pairs")
     return f"{tally.part_counts()} (worst error {tally.worst:.3e})"
 
 
@@ -232,7 +230,7 @@ def _suite_qvector(tally, rng) -> str:
         tally.check(np.all(d + d.T == 0))
 
     cross = _coeff_distances(_decompose_stack(np.array(dense)), _stack(cs))
-    tally.check(np.count_nonzero(cross < 1e-12), cross.max(), len(cross))
+    tally.check(cross < 1e-12, cross.max())
     return f"round trip, exact antisymmetry, cross-path; worst error {tally.worst:.3e}"
 
 
@@ -244,7 +242,7 @@ def _suite_closed_classes(tally, rng) -> str:
         out = _compose(*_random_pairs(rng, codes, 100), 0.0)
         outside = out.member()[~np.isin(out.untagged(), codes)]
         closed = np.bincount(outside, minlength=out.members) == 0
-        tally.check(np.count_nonzero(closed), count=len(closed))
+        tally.check(closed)
     # one antisymmetric-support pair escaping the six proves that class open
     escape = compose(*(CoefficientTensor(2, {i: 1}) for i in [(2, 0), (2, 1)]), tol=0.0)
     tally.check(not antisymmetric_mask(escape).all())

@@ -18,9 +18,9 @@ from pauligl.fileio import (format_coefficients, format_matrix, format_qvector,
                             parse_qvector, parse_real_literal)
 
 from conftest import coefficient_tensors, random_complex_matrix
-from reference import (reference_format_coefficients, reference_format_matrix,
-                       reference_format_real, reference_parse_coefficients,
-                       reference_parse_matrix)
+from reference import (_REF_INT_RE, _REF_REAL_RE, reference_format_coefficients,
+                       reference_format_matrix, reference_format_real,
+                       reference_parse_coefficients, reference_parse_matrix)
 
 
 def bit_equal(x, y):
@@ -85,6 +85,12 @@ class TestMatrixFiles:
     @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
     def test_format_rejects_non_matrix(self, shape):
         with pytest.raises(TypeError):
+            format_matrix(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 0), (0, 3), (0, 0)])
+    def test_format_refuses_what_the_reader_refuses(self, shape):
+        # parse_matrix reads only a square matrix of side >= 1
+        with pytest.raises(DimensionError, match=f"cannot write a {shape[0]} x {shape[1]} "):
             format_matrix(np.zeros(shape))
 
     def test_accepts_trailing_blank_lines(self):
@@ -404,6 +410,13 @@ def test_writer_matches_repr_on_the_battery():
                 f"{got[bad[0]]!r} for {want[bad[0]]!r}")
 
 
+def test_writer_templates_are_distinct():
+    # one template per class (22) and significant-digit count (17)
+    templates = fileio._tables()[-1]
+    assert templates.shape == (22 * 17, 25)
+    assert len(np.unique(templates, axis=0)) == len(templates)
+
+
 def test_schubfach_table_from_its_definition():
     # g = floor(10^-k * 2^-r) + 1 with 2^125 <= g - 1 < 2^126, found here
     # by exact rational arithmetic rather than by the writer's flog2pow10
@@ -638,22 +651,48 @@ def writer_files():
 
 
 def test_float_accepts_exactly_the_literal_grammar():
-    # A block laid out as the writers lay it out is converted by float()
-    # with no regular expression, so over the literal characters float()
-    # must accept exactly what _REAL matches: here every string of up to
-    # six of 0 1 + - . e E, which spells each case of the grammar.
+    # Both readers take a string of the literal characters (fileio._LITERAL)
+    # to float() with no regular expression, so over them float() must
+    # accept exactly the grammar: here every string of up to six of
+    # 0 1 + - . e E, which spells each case of it.  parse_real_literal
+    # accepts the same strings, and refuses the ones that overflow as
+    # non-finite.
+    assert set(fileio._LITERAL.decode()) == set("0123456789+-.eE")
     disagree = []
     for length in range(1, 7):
         for chars in itertools.product("01+-.eE", repeat=length):
             token = "".join(chars)
             try:
-                float(token)
-                accepted = True
+                value = float(token)
             except ValueError:
-                accepted = False
-            if accepted != bool(fileio._REAL_RE.match(token)):
+                value = None
+            try:
+                parsed = parse_real_literal(token)
+            except ValueError as exc:
+                parsed = "non-finite" if str(exc).startswith("non-finite") else None
+            grammar = bool(_REF_REAL_RE.match(token))
+            want = None if not grammar else value if math.isfinite(value) else "non-finite"
+            if (value is not None) != grammar or parsed != want:
                 disagree.append(token)
     assert not disagree, disagree[:10]
+
+
+def test_int_grammar_is_one_sign_then_ascii_digits():
+    # every string of up to six of + - 0 1, against the reference grammar
+    disagree = []
+    for length in range(1, 7):
+        for chars in itertools.product("+-01", repeat=length):
+            token = "".join(chars)
+            try:
+                accepted = fileio._parse_int(token, 1, "side") == int(token)
+            except FileFormatError:
+                accepted = False
+            if accepted != bool(_REF_INT_RE.match(token)):
+                disagree.append(token)
+    assert not disagree, disagree[:10]
+    for token in ["", " 1", "1 ", "1_0", "\u0661", "\uff11", "+", "--1", "1.0"]:
+        with pytest.raises(FileFormatError, match="must be an integer"):
+            fileio._parse_int(token, 1, "side")
 
 
 CANONICAL_BAD = [

@@ -500,3 +500,24 @@ class TestArrayBlockMaps:
                           (BlockLocal(Half.LOW, Half.LOW, 0, bad), "local col")):
             assert outcome(block_global_from_local, loc, cuts) == (
                 TypeError, f"{what} {want}")
+
+    def test_side_too_large_for_int64(self):
+        # the scalar maps take any side; the int64 arrays take a side of
+        # 2**63 at most, as the lex maps take fewer than 2**63 entries
+        big = BlockCuts(2 ** 70, 2 ** 69, 1)
+        loc = block_local_from_global(2 ** 70 - 1, 0, big)
+        assert loc == BlockLocal(Half.HIGH, Half.LOW, 2 ** 69 - 1, 0)
+        assert block_global_from_local(loc, big) == (2 ** 70 - 1, 0)
+        for n in (2 ** 63 + 1, 2 ** 70):
+            cuts = BlockCuts(n, n // 2, 1)
+            want = (DomainError, f"matrix side {n} is too large for int64 index arrays")
+            assert outcome(block_local_from_global, np.array([0]), np.array([0]),
+                           cuts) == want
+            assert outcome(block_global_from_local,
+                           BlockLocal(Half.LOW, Half.LOW, np.array([0]), 0), cuts) == want
+        cuts = BlockCuts(2 ** 63, 2 ** 63 - 1, 1)
+        loc = block_local_from_global(np.array([0, 2 ** 63 - 1]), np.array([0, 0]), cuts)
+        assert loc.block_row.tolist() == [Half.LOW, Half.HIGH]
+        assert loc.local_row.tolist() == [0, 0]
+        back = block_global_from_local(loc, cuts)
+        assert back[0].tolist() == [0, 2 ** 63 - 1] and back[1].tolist() == [0, 0]
