@@ -263,22 +263,25 @@ def _line(text: str, start: int, keepends: bool) -> str:
     return text[start:end].splitlines(keepends)[0]
 
 
-def _line_blocks(text: str):
-    """Yield the lines of text.splitlines(), without its trailing blank
-    lines, in blocks of text.
-
-    Each block is the whole lines of about _BLOCK_CHARS characters of text,
-    ending with "\n" (added to the last line), so the lines of the whole
-    text never exist at once.
-    """
-    # the lines end with the one that holds the last non-space character;
+def _content_end(text: str) -> int:
+    """The end of the last non-space character of text, 0 if it has none."""
     # str.rstrip() copies what it keeps, so it strips 4096 characters at a time
     stop = len(text)
     while stop and text[stop - 1].isspace():
         start = max(stop - 4096, 0)
         stop = start + len(text[start:stop].rstrip())
-    if stop:
-        stop += len(_line(text, stop - 1, False)) - 1
+    return stop
+
+
+def _line_blocks(text: str):
+    """Yield the lines of text.splitlines(), without its trailing blank
+    lines and the blanks that end its last line, in blocks of text.
+
+    Each block is the whole lines of about _BLOCK_CHARS characters of text,
+    ending with "\n" (added to the last line), so the lines of the whole
+    text never exist at once.
+    """
+    stop = _content_end(text)
     pos = 0
     while pos < stop:
         # a newline always ends a line, also as the second half of "\r\n"
@@ -512,6 +515,11 @@ def parse_coefficients(text: str) -> CoefficientTensor:
         fields = _fields(block, b"  \n")
         got = None if fields is None else _coefficient_lines(fields, m)
         if got is None:
+            if next(body, None) is None:
+                # the last block: its last line as the file spells it, with
+                # the blanks _line_blocks leaves out
+                stop = _content_end(text)
+                block = block[:-1] + _line(text, stop - 1, False)[1:] + "\n"
             _raise_block_error(block, first, m, np.concatenate(codes))
         digits, reals = got
         codes.append(digits.astype(np.uint64) @ weights)

@@ -94,10 +94,48 @@ def _integer_array(a, what: str) -> np.ndarray:
     return a
 
 
+def _entry(bad: np.ndarray, *arrays) -> list:
+    """Each array's entry at the first true entry of bad (in ravel order),
+    which a stacked kernel hands the scalar map to raise its error."""
+    return [np.broadcast_to(a, bad.shape).flat[np.argmax(bad)] for a in arrays]
+
+
 def _checked_side(cuts: BlockCuts) -> None:
     """Refuse a side past 2**63, whose indices int64 arrays cannot all hold."""
     if cuts.n > _INT64_LIMIT:
         raise DomainError(f"matrix side {cuts.n} is too large for int64 index arrays")
+
+
+def _block_stack(x, n, row_cut, col_cut):
+    """The block maps over a stack of cuts (n, row_cut, col_cut), each an
+    int64 array of one per entry or one int for all: a pair (i, j) of
+    integer arrays of one shape maps to a BlockLocal, and a BlockLocal with
+    fields of one shape maps back to (i, j).  The first bad entry raises
+    the scalar call's DomainError."""
+    if isinstance(x, BlockLocal):
+        br, bc, r, c = x.block_row, x.block_col, x.local_row, x.local_col
+        low_row, low_col = br == _LOW, bc == _LOW
+        rows = np.where(low_row, row_cut, n - row_cut)
+        cols = np.where(low_col, col_cut, n - col_cut)
+        bad = (~low_row & (br != _HIGH)) | (~low_col & (bc != _HIGH))
+        bad |= (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
+        if np.logical_or.reduce(bad, axis=None):
+            block_global_from_local(BlockLocal(*_entry(bad, br, bc, r, c)),
+                                    BlockCuts(*_entry(bad, n, row_cut, col_cut)))
+        r, c = r.astype(np.int64, copy=False), c.astype(np.int64, copy=False)
+        return np.where(low_row, r, r + row_cut), np.where(low_col, c, c + col_cut)
+    i, j = x
+    bad = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+    if np.logical_or.reduce(bad, axis=None):
+        block_local_from_global(*_entry(bad, i, j),
+                                BlockCuts(*_entry(bad, n, row_cut, col_cut)))
+    i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
+    low_row, low_col = i < row_cut, j < col_cut
+    # the Ellipsis keeps the lookup of a 0-d index a 0-d array
+    return BlockLocal(_HALVES[low_row.view(np.int8), ...],
+                      _HALVES[low_col.view(np.int8), ...],
+                      np.where(low_row, i, i - row_cut),
+                      np.where(low_col, j, j - col_cut))
 
 
 def block_local_from_global(i, j, cuts: BlockCuts) -> BlockLocal:
@@ -111,20 +149,10 @@ def block_local_from_global(i, j, cuts: BlockCuts) -> BlockLocal:
     side past 2**63 raises DomainError.
     """
     if isinstance(i, np.ndarray) or isinstance(j, np.ndarray):
-        i, j = np.broadcast_arrays(_integer_array(i, "row index"),
-                                   _integer_array(j, "col index"))
+        ij = np.broadcast_arrays(_integer_array(i, "row index"),
+                                 _integer_array(j, "col index"))
         _checked_side(cuts)
-        bad = (i < 0) | (i >= cuts.n) | (j < 0) | (j >= cuts.n)
-        if np.logical_or.reduce(bad, axis=None):
-            k = np.argmax(bad)
-            block_local_from_global(i.flat[k], j.flat[k], cuts)  # raises
-        i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
-        low_row, low_col = i < cuts.row_cut, j < cuts.col_cut
-        # the Ellipsis keeps the lookup of a 0-d index a 0-d array
-        return BlockLocal(_HALVES[low_row.view(np.int8), ...],
-                          _HALVES[low_col.view(np.int8), ...],
-                          np.where(low_row, i, i - cuts.row_cut),
-                          np.where(low_col, j, j - cuts.col_cut))
+        return _block_stack(ij, cuts.n, cuts.row_cut, cuts.col_cut)
     i, j = _checked_integer(i, "row index"), _checked_integer(j, "col index")
     if not 0 <= i < cuts.n or not 0 <= j < cuts.n:
         raise DomainError(
@@ -152,24 +180,13 @@ def block_global_from_local(loc: BlockLocal, cuts: BlockCuts) -> tuple:
     not a Half member raises DomainError, as an offset outside its block
     does; the array errors are those of :func:`block_local_from_global`."""
     if isinstance(loc.local_row, np.ndarray) or isinstance(loc.local_col, np.ndarray):
-        br, bc, r, c = np.broadcast_arrays(
+        fields = np.broadcast_arrays(
             np.asarray(loc.block_row, dtype=object),
             np.asarray(loc.block_col, dtype=object),
             _integer_array(loc.local_row, "local row"),
             _integer_array(loc.local_col, "local col"))
         _checked_side(cuts)
-        low_row, low_col = br == _LOW, bc == _LOW
-        rows = np.where(low_row, cuts.row_cut, cuts.n - cuts.row_cut)
-        cols = np.where(low_col, cuts.col_cut, cuts.n - cuts.col_cut)
-        bad = (~low_row & (br != _HIGH)) | (~low_col & (bc != _HIGH))
-        bad |= (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
-        if np.logical_or.reduce(bad, axis=None):
-            k = np.argmax(bad)
-            block_global_from_local(BlockLocal(br.flat[k], bc.flat[k], r.flat[k],
-                                               c.flat[k]), cuts)  # raises
-        r, c = r.astype(np.int64, copy=False), c.astype(np.int64, copy=False)
-        return (np.where(low_row, r, r + cuts.row_cut),
-                np.where(low_col, c, c + cuts.col_cut))
+        return _block_stack(BlockLocal(*fields), cuts.n, cuts.row_cut, cuts.col_cut)
     r = _checked_integer(loc.local_row, "local row")
     c = _checked_integer(loc.local_col, "local col")
     low_row = _is_low(loc.block_row, "block row")
@@ -196,38 +213,46 @@ def _validate_shape(shape) -> tuple[tuple[int, ...], int]:
     return shape, math.prod(shape)
 
 
-def _radix_columns(a: np.ndarray, what: str, shape: tuple, size: int,
-                   ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factor sizes and place values as int64 columns that broadcast over
-    ``ndim`` index axes, once ``a`` is known to be an integer array the
-    maps can handle exactly in int64."""
+def _places(shapes: np.ndarray) -> np.ndarray:
+    """Each factor's place value in each row of a (K, r) stack of shapes:
+    the product of the sizes listed after it."""
+    return np.multiply.accumulate(shapes[:, ::-1], axis=1)[:, ::-1] // shapes
+
+
+def _lex_stack(x: np.ndarray, shapes: np.ndarray, ids, to_local: bool) -> np.ndarray:
+    """The lex maps over a (K, r) int64 stack of shapes of fewer than 2**63
+    entries each; ids holds each index's row of shapes and broadcasts over
+    the index axes.  to_local maps global indices x to digits, factor axis
+    first; else digits x map to global indices.  The first bad index, or
+    the first bad digit of the first factor with one, raises the scalar
+    call's DomainError."""
+    sizes, place = shapes.T[:, ids], _places(shapes).T[:, ids]
+    # uint64 indices past int64 wrap to negatives, which are out of range
+    wide = x.astype(np.int64, copy=False)
+    if to_local:
+        bad = (wide < 0) | (wide >= sizes[0] * place[0])
+        if np.logical_or.reduce(bad, axis=None):
+            g, k = _entry(bad, x, ids)
+            lex_local_from_global(g, shapes[k])  # raises
+        return wide // place % sizes
+    bad = (wide < 0) | (wide >= sizes)
+    if np.logical_or.reduce(bad, axis=None):
+        # the first bad digit of the first bad factor; 0 is in range elsewhere
+        f = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+        digits = [0] * len(bad)
+        digits[f], k = _entry(bad[f], x[f], ids)
+        lex_global_from_local(digits, shapes[k])  # raises
+    return np.add.reduce(wide * place, axis=0)
+
+
+def _one_shape(a: np.ndarray, what: str, shape: tuple, size: int) -> np.ndarray:
+    """shape as the one row of a shape stack, once ``a`` is known to be an
+    integer array the maps can handle exactly in int64."""
     _integer_array(a, what)
     if size >= _INT64_LIMIT:
         raise DomainError(
             f"shape of size {size} is too large for int64 index arrays")
-    place = [1]
-    for s in reversed(shape[1:]):
-        place.append(place[-1] * s)
-    column = (-1,) + (1,) * ndim
-    return (np.array(shape, dtype=np.int64).reshape(column),
-            np.array(place[::-1], dtype=np.int64).reshape(column))
-
-
-def _lex_global_array(locals_: np.ndarray, shape: tuple, size: int) -> np.ndarray:
-    if locals_.ndim == 0:
-        raise TypeError("local indices need a factor axis, got a 0-d array")
-    sizes, place = _radix_columns(locals_, "local indices", shape, size,
-                                  locals_.ndim - 1)
-    if len(locals_) != len(shape):
-        lex_global_from_local([0] * len(locals_), shape)  # raises
-    bad = (locals_ < 0) | (locals_ >= sizes)
-    if np.logical_or.reduce(bad, axis=None):
-        # the first bad digit of the first bad factor; 0 is in range elsewhere
-        k = int(np.argmax(bad.reshape(len(shape), -1).any(axis=1)))
-        digits = [0] * len(shape)
-        digits[k] = locals_[k][bad[k]][0]
-        lex_global_from_local(digits, shape)  # raises
-    return np.add.reduce(locals_.astype(np.int64, copy=False) * place, axis=0)
+    return np.array([shape], dtype=np.int64)
 
 
 def lex_global_from_local(locals_, shape):
@@ -256,7 +281,13 @@ def lex_global_from_local(locals_, shape):
     """
     shape, size = _validate_shape(shape)
     if isinstance(locals_, np.ndarray):
-        return _lex_global_array(locals_, shape, size)
+        if locals_.ndim == 0:
+            raise TypeError("local indices need a factor axis, got a 0-d array")
+        shapes = _one_shape(locals_, "local indices", shape, size)
+        if len(locals_) != len(shape):
+            lex_global_from_local([0] * len(locals_), shape)  # raises
+        return _lex_stack(locals_, shapes, np.zeros((1,) * (locals_.ndim - 1), np.intp),
+                          to_local=False)
     locals_ = tuple(_checked_integer(v, "local index") for v in locals_)
     if len(locals_) != len(shape):
         raise DomainError(
@@ -281,11 +312,8 @@ def lex_local_from_global(i, shape):
     """
     shape, size = _validate_shape(shape)
     if isinstance(i, np.ndarray):
-        sizes, place = _radix_columns(i, "global indices", shape, size, i.ndim)
-        bad = (i < 0) | (i >= size)
-        if np.logical_or.reduce(bad, axis=None):
-            lex_local_from_global(i[bad][0], shape)  # raises
-        return i.astype(np.int64, copy=False) // place % sizes
+        shapes = _one_shape(i, "global indices", shape, size)
+        return _lex_stack(i, shapes, np.zeros((1,) * i.ndim, np.intp), to_local=True)
     i = _checked_integer(i, "global index")
     if not 0 <= i < size:
         raise DomainError(

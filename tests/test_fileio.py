@@ -626,6 +626,27 @@ class TestParseMatchesReference:
         assert_parses_alike(parse_coefficients, reference_parse_coefficients,
                             "1\n0 1 0" + " " * 10 ** 7)
 
+    def test_blanks_that_end_the_last_line_are_not_copied(self):
+        text = "1\n0 1 0" + " " * 10 ** 7
+        tracemalloc.start()
+        try:
+            c = parse_coefficients(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert c.codes.tolist() == [0] and c.values.tolist() == [1]
+
+    @pytest.mark.parametrize("block_chars", [10, None])
+    def test_a_bad_last_line_is_quoted_as_spelled(self, block_chars):
+        # only the error path reads the blanks that end the last line
+        text = "1\n0 1 0\n1 1" + " " * 10 ** 5 + "\n\n"
+        assert outcome(parse_coefficients, text) == (
+            "FileFormatError",
+            f"line 3: expected 'INDEX re im', got {'1 1' + ' ' * 10 ** 5!r}", 3)
+        assert_parses_alike(parse_coefficients, reference_parse_coefficients,
+                            text, block_chars)
+
 
 PARSERS = {"matrix": parse_matrix, "coefficients": parse_coefficients}
 REFERENCES = {"matrix": reference_parse_matrix,

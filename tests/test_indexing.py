@@ -9,6 +9,7 @@ from pauligl import (BlockCuts, BlockLocal, DomainError, Half, basis_element,
                      block_global_from_local, block_local_from_global,
                      lex_global_from_local, lex_local_from_global,
                      pauli_matrix)
+from pauligl.indexing import _block_stack, _lex_stack
 from pauligl.verify import _factor_shapes
 
 from reference import (reference_lex_global_from_local,
@@ -521,3 +522,93 @@ class TestArrayBlockMaps:
         assert loc.local_row.tolist() == [0, 0]
         back = block_global_from_local(loc, cuts)
         assert back[0].tolist() == [0, 2 ** 63 - 1] and back[1].tolist() == [0, 0]
+
+
+@st.composite
+def lex_stacks(draw):
+    """Shapes of ranks 1-6 with sizes >= 2 and fewer than 2**63 entries, and
+    a few global indices of each."""
+    shapes = draw(st.lists(st.integers(1, 6).flatmap(
+        lambda rank: st.tuples(*[st.integers(2, 2 ** (62 // rank))] * rank)),
+        min_size=1, max_size=8))
+    indices = [draw(st.lists(st.integers(0, math.prod(s) - 1), max_size=4))
+               for s in shapes]
+    return shapes, indices
+
+
+@st.composite
+def block_stacks(draw):
+    """Cut triples of sides up to 2**62, and a few entries of each."""
+    cuts = draw(st.lists(st.integers(2, 2 ** 62).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n - 1), st.integers(1, n - 1))),
+        min_size=1, max_size=8))
+    entries = [draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=4)) for n, _, _ in cuts]
+    return cuts, entries
+
+
+class TestStackedKernels:
+    """The stacked kernels against the public one-shape array maps, member
+    by member, and the scalar message for a stack's first bad entry."""
+
+    @given(lex_stacks())
+    def test_lex_stack_matches_the_one_shape_maps(self, case):
+        shapes, indices = case
+        for rank in {len(s) for s in shapes}:
+            members = [k for k, s in enumerate(shapes) if len(s) == rank]
+            stack = np.array([shapes[k] for k in members], dtype=np.int64)
+            ids = np.repeat(np.arange(len(members)), [len(indices[k]) for k in members])
+            x = np.array([g for k in members for g in indices[k]], dtype=np.int64)
+            digits = _lex_stack(x, stack, ids, to_local=True)
+            back = _lex_stack(digits, stack, ids, to_local=False)
+            assert np.array_equal(back, x)
+            for row, k in enumerate(members):
+                own = ids == row
+                one = lex_local_from_global(np.array(indices[k], dtype=np.int64),
+                                            shapes[k])
+                assert np.array_equal(digits[:, own], one)
+                assert np.array_equal(back[own], lex_global_from_local(one, shapes[k]))
+
+    @given(block_stacks())
+    def test_block_stack_matches_the_one_cut_maps(self, case):
+        cuts, entries = case
+        per = [len(e) for e in entries]
+        n, rc, cc = (np.repeat(np.array(v, dtype=np.int64), per) for v in zip(*cuts))
+        i, j = np.array([ij for e in entries for ij in e], dtype=np.int64).reshape(-1, 2).T
+        loc = _block_stack((i, j), n, rc, cc)
+        back = _block_stack(loc, n, rc, cc)
+        assert np.array_equal(back[0], i) and np.array_equal(back[1], j)
+        start = 0
+        for triple, count in zip(cuts, per):
+            own = slice(start, start + count)
+            one = block_local_from_global(i[own], j[own], BlockCuts(*triple))
+            for got, want in zip((loc.block_row, loc.block_col, loc.local_row,
+                                  loc.local_col), (one.block_row, one.block_col,
+                                                   one.local_row, one.local_col)):
+                assert got[own].tolist() == want.tolist()
+            start += count
+
+    def test_first_bad_entry_in_a_later_shape(self):
+        shapes = np.array([(2, 3), (4, 5)], dtype=np.int64)
+        # entry 2 (shape 1) comes before entry 3, which is bad for shape 0
+        ids = np.array([0, 1, 1, 0])
+        want = outcome(lex_local_from_global, 25, (4, 5))
+        assert want[0] is DomainError
+        assert outcome(_lex_stack, np.array([0, 1, 25, 7]), shapes, ids, True) == want
+        # factor 0 first: shape 1's digit 4 is reported, not shape 0's 3
+        digits = np.array([[0, 4, 1], [0, 0, 3]])
+        want = outcome(lex_global_from_local, (4, 0), (4, 5))
+        assert want[0] is DomainError
+        assert outcome(_lex_stack, digits, shapes, ids[:3], False) == want
+        n, rc, cc = np.array([4, 6, 4]), np.array([2, 1, 2]), np.array([1, 5, 1])
+        want = outcome(block_local_from_global, 6, 0, BlockCuts(6, 1, 5))
+        assert want[0] is DomainError
+        assert outcome(_block_stack, (np.array([0, 6, 4]), np.array([0, 0, 0])),
+                       n, rc, cc) == want
+        loc = BlockLocal(np.array([Half.LOW, Half.HIGH, Half.LOW]),
+                         np.array([Half.LOW, Half.HIGH, Half.LOW]),
+                         np.array([0, 5, 2]), np.array([0, 0, 0]))
+        want = outcome(block_global_from_local,
+                       BlockLocal(Half.HIGH, Half.HIGH, 5, 0), BlockCuts(6, 1, 5))
+        assert want[0] is DomainError
+        assert outcome(_block_stack, loc, n, rc, cc) == want

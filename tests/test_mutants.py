@@ -9,7 +9,6 @@ that test is run under the mutant.  See README *Self-verification*.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import inspect
 import itertools
 import pathlib
@@ -37,7 +36,6 @@ _code_product = algebra.code_product
 _antisymmetric_mask = symmetry.antisymmetric_mask
 _distinct_codes = algebra.distinct_codes
 _qvector_to_dense = symmetry.qvector_to_dense
-_block_local_from_global = indexing.block_local_from_global
 _matrix_stacks = decomposition._matrix_stacks
 _row_blocks = composition._row_blocks
 _compose = composition._compose
@@ -46,7 +44,7 @@ _from_dense = decomposition._from_dense
 _transposed = symmetry._transposed
 _interleaved = decomposition._interleaved
 _gl4_product_array = composition._gl4_product_array
-_radix_columns = indexing._radix_columns
+_places = indexing._places
 
 
 def _modulus(values):
@@ -70,16 +68,6 @@ def fourth_row_flipped(q):
     dense = _qvector_to_dense(q)
     dense[3] = -dense[3]
     return dense
-
-
-def row_cut_exclusive(i, j, cuts):
-    # i > row_cut for i >= row_cut: a row on the cut stays in the LOW band,
-    # one past its last row
-    loc = _block_local_from_global(i, j, cuts)
-    on_cut = i == cuts.row_cut
-    return dataclasses.replace(
-        loc, block_row=np.where(on_cut, indexing.Half.LOW, loc.block_row),
-        local_row=np.where(on_cut, cuts.row_cut, loc.local_row))
 
 
 def unpruned_from_dense(m, flat, tol):
@@ -128,10 +116,9 @@ def law_tensor_part_off_by_one(A, B):
     return C
 
 
-def places_fastest_first(a, what, shape, size, ndim):
+def places_fastest_first(shapes):
     # the first listed factor gets place value 1, as if it varied fastest
-    sizes, _ = _radix_columns(a, what, shape, size, ndim)
-    return sizes, np.cumprod((1,) + shape[:-1]).reshape(sizes.shape)
+    return _places(shapes[:, ::-1])[:, ::-1]
 
 
 def failed_counted_as_passed(self, ok, error=None, part=None):
@@ -155,6 +142,15 @@ def rewritten(func, old, new):
     exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"),
          func.__globals__, namespace)
     return namespace[func.__name__]
+
+
+# i > row_cut for i >= row_cut: a row on the cut stays in the LOW band, one
+# past its last row
+row_cut_exclusive = rewritten(indexing._block_stack, "i < row_cut", "i <= row_cut")
+# entry k of shape id k reads the place values of shape id k + 1 (of 0 for
+# the last), so only a stack of two or more shapes sees it
+places_of_next_shape = rewritten(indexing._lex_stack, "_places(shapes).T[:, ids]",
+                                 "np.roll(_places(shapes), -1, axis=0).T[:, ids]")
 
 
 class Mutant(NamedTuple):
@@ -191,8 +187,8 @@ MUTANTS = [
            frozenset(),
            test_decomposition.TestPruneRule().test_dropped_at_its_modulus),
     Mutant("array block map compares the row cut with > instead of >=",
-           ((verify, "block_local_from_global", row_cut_exclusive),
-            (indexing, "block_local_from_global", row_cut_exclusive)),
+           ((verify, "_block_stack", row_cut_exclusive),
+            (indexing, "_block_stack", row_cut_exclusive)),
            frozenset({"bijection"})),
     Mutant("_from_dense skips its prune",
            ((decomposition, "_from_dense", unpruned_from_dense),
@@ -243,7 +239,11 @@ MUTANTS = [
            ((composition, "_gl4_product_array", law_tensor_part_off_by_one),),
            frozenset({"closed-form"})),
     Mutant("lex place values built fastest factor first",
-           ((indexing, "_radix_columns", places_fastest_first),),
+           ((indexing, "_places", places_fastest_first),),
+           frozenset({"bijection"})),
+    Mutant("the lex kernel reads shape id k + 1's place values",
+           ((verify, "_lex_stack", places_of_next_shape),
+            (indexing, "_lex_stack", places_of_next_shape)),
            frozenset({"bijection"})),
     Mutant("block map Half table swapped",
            ((indexing, "_HALVES", indexing._HALVES[::-1].copy()),),

@@ -64,9 +64,9 @@ def suite_lines(out):
 def test_raising_suite_fails_and_the_rest_still_run(monkeypatch, capsys):
     # array digit rows in the wrong order: the bijection suite's round trip
     # then meets a digit outside its factor and raises
-    lex = verify.lex_local_from_global
-    monkeypatch.setattr(verify, "lex_local_from_global",
-                        lambda i, shape: lex(i, shape)[::-1])
+    lex = verify._lex_stack
+    monkeypatch.setattr(verify, "_lex_stack", lambda x, shapes, ids, to_local: (
+        lex(x, shapes, ids, to_local)[::-1] if to_local else lex(x, shapes, ids, to_local)))
     assert dispatch(["verify", "--seed", "0"]) == 3
     out = capsys.readouterr().out
     lines = suite_lines(out)
