@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import EPSILON, Phase, _checked_integer, code_product, distinct_codes
-from .decomposition import (DEFAULT_PRUNE_TOL, CoefficientTensor, _checked_tol,
-                            _from_dense, _from_tagged, _matrix_stacks, _same_order,
-                            _stack)
+from .decomposition import (DEFAULT_PRUNE_TOL, MAX_DENSE_BYTES, CoefficientTensor,
+                            _checked_tol, _from_dense, _from_tagged, _matrix_stacks,
+                            _same_order, _stack)
 from .errors import DimensionError, DomainError
 from .symmetry import (ANTISYMMETRIC_GL4_SUPPORT, _ANTISYM_GL4_CODES,
                        _check_antisym_gl4)
@@ -55,6 +55,10 @@ _DENSE_MAX_BYTES = 1 << 20
 #: ... and there is at least one term pair per this many slots; below that,
 #: zeroing and scanning the slots costs more than sorting the product codes.
 _DENSE_SLOTS_PER_PAIR = 16
+
+#: The most output terms a compose of a whole stack may have: a term takes 8
+#: bytes of code and 16 of value, within ``MAX_DENSE_BYTES`` (about 11.2M).
+_MAX_OUTPUT_TERMS = MAX_DENSE_BYTES // 24
 
 #: Phase.to_complex() of each exponent, split into real and imaginary parts.
 _PHASE_RE = np.array([p.to_complex().real for p in Phase])
@@ -108,15 +112,24 @@ def _output_codes(ca: np.ndarray, cb: np.ndarray, blocks) -> np.ndarray:
     """Sorted distinct codes of all products, merged once the blocks since
     the last merge hold max(_BLOCK_PAIRS, codes found so far) pairs, so
     memory stays O(block + output) and merging costs amortized O(block)
-    per block."""
+    per block.  A merge past ``_MAX_OUTPUT_TERMS`` codes raises
+    DimensionError, so memory stays O(block + limit)."""
     found, pending, size = np.empty(0, dtype=np.uint64), [], 0
     for ia, ib in blocks:
         pending.append((ca[ia] ^ cb[ib]).ravel())
         size += len(pending[-1])
         if size >= max(_BLOCK_PAIRS, len(found)):
-            found = distinct_codes(np.concatenate([found, *pending]))
-            pending, size = [], 0
-    return distinct_codes(np.concatenate([found, *pending])) if pending else found
+            found, pending, size = _merged(found, pending), [], 0
+    return _merged(found, pending) if pending else found
+
+
+def _merged(found: np.ndarray, pending: list) -> np.ndarray:
+    """Sorted distinct codes of found and the pending arrays, within the limit."""
+    codes = distinct_codes(np.concatenate([found, *pending]))
+    if len(codes) > _MAX_OUTPUT_TERMS:
+        raise DimensionError(f"compose output has at least {len(codes)} terms, "
+                             f"past the limit of {_MAX_OUTPUT_TERMS}")
+    return codes
 
 
 def _dense_route(m: int, pairs: int, members: int = 1) -> bool:
@@ -144,7 +157,8 @@ def compose(a: CoefficientTensor, b: CoefficientTensor,
     code itself, and every slot is listed for the stack builder to prune.
     Otherwise a first pass collects the sorted distinct output codes and
     each term's slot is found by binary search, so scratch memory is
-    O(block + output).
+    O(block + output).  That pass raises DimensionError, before any term is
+    summed, once it finds more than ``_MAX_OUTPUT_TERMS`` output codes.
     """
     return _compose(_stack([a]), _stack([b]), tol).tensor()
 

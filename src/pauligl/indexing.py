@@ -10,8 +10,8 @@ Two families, both 0-based:
   The first listed factor of a shape is the slowest-varying (the leftmost
   Kronecker factor); the last listed factor varies fastest.
 
-Every map takes Python integers, or integer numpy arrays to map many indices
-in one call.
+Every map takes Python integers, or integer numpy arrays, which a stacked
+kernel maps in one call; block ids then come back as object arrays of Half.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ class Half(enum.Enum):
     LOW = "low"
     HIGH = "high"
 
-
-# The array maps never hand numpy a Half member, whose every conversion probes
-# the Enum class: _HALVES[low] is a band's Half, _LOW and _HIGH 0-d constants.
-_HALVES = np.array([Half.HIGH, Half.LOW], dtype=object)
-_LOW, _HIGH = np.array(Half.LOW, dtype=object), np.array(Half.HIGH, dtype=object)
 
 # Array results are int64: a shape must have fewer entries than this, and a
 # block side at most this many (its indices are below it).
@@ -114,26 +109,25 @@ def _block_stack(x, n, row_cut, col_cut):
     the scalar call's DomainError."""
     if isinstance(x, BlockLocal):
         br, bc, r, c = x.block_row, x.block_col, x.local_row, x.local_col
-        low_row, low_col = br == _LOW, bc == _LOW
+        low_row, low_col = br == Half.LOW, bc == Half.LOW
         rows = np.where(low_row, row_cut, n - row_cut)
         cols = np.where(low_col, col_cut, n - col_cut)
-        bad = (~low_row & (br != _HIGH)) | (~low_col & (bc != _HIGH))
+        bad = (~low_row & (br != Half.HIGH)) | (~low_col & (bc != Half.HIGH))
         bad |= (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
-        if np.logical_or.reduce(bad, axis=None):
+        if bad.any():
             block_global_from_local(BlockLocal(*_entry(bad, br, bc, r, c)),
                                     BlockCuts(*_entry(bad, n, row_cut, col_cut)))
         r, c = r.astype(np.int64, copy=False), c.astype(np.int64, copy=False)
         return np.where(low_row, r, r + row_cut), np.where(low_col, c, c + col_cut)
     i, j = x
     bad = (i < 0) | (i >= n) | (j < 0) | (j >= n)
-    if np.logical_or.reduce(bad, axis=None):
+    if bad.any():
         block_local_from_global(*_entry(bad, i, j),
                                 BlockCuts(*_entry(bad, n, row_cut, col_cut)))
     i, j = i.astype(np.int64, copy=False), j.astype(np.int64, copy=False)
     low_row, low_col = i < row_cut, j < col_cut
-    # the Ellipsis keeps the lookup of a 0-d index a 0-d array
-    return BlockLocal(_HALVES[low_row.view(np.int8), ...],
-                      _HALVES[low_col.view(np.int8), ...],
+    return BlockLocal(np.where(low_row, Half.LOW, Half.HIGH),
+                      np.where(low_col, Half.LOW, Half.HIGH),
                       np.where(low_row, i, i - row_cut),
                       np.where(low_col, j, j - col_cut))
 
@@ -231,12 +225,12 @@ def _lex_stack(x: np.ndarray, shapes: np.ndarray, ids, to_local: bool) -> np.nda
     wide = x.astype(np.int64, copy=False)
     if to_local:
         bad = (wide < 0) | (wide >= sizes[0] * place[0])
-        if np.logical_or.reduce(bad, axis=None):
+        if bad.any():
             g, k = _entry(bad, x, ids)
             lex_local_from_global(g, shapes[k])  # raises
         return wide // place % sizes
     bad = (wide < 0) | (wide >= sizes)
-    if np.logical_or.reduce(bad, axis=None):
+    if bad.any():
         # the first bad digit of the first bad factor; 0 is in range elsewhere
         f = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
         digits = [0] * len(bad)

@@ -8,13 +8,14 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from pauligl import (ANTISYMMETRIC_GL4_SUPPORT, CoefficientTensor, QVector,
-                     SymmetryKind, classify_basis, decompose, project,
+                     SymmetryKind, classify_basis, composition, decompose, project,
                      qvector_to_coeffs)
 from pauligl.cli import dispatch
 from pauligl.fileio import (format_coefficients, format_matrix, format_qvector,
@@ -151,6 +152,21 @@ class TestCompose:
         a = write(tmp_path / "a.pcoef", "33\n")
         code, _, err = run_cli(capsys, "compose", a, a)
         assert code == 2 and "order" in err
+
+    def test_output_past_its_limit(self, tmp_path, capsys):
+        # 4,096 distinct output codes of two random m = 32 files
+        rng = np.random.default_rng(32)
+        paths = []
+        for name in "ab":
+            codes = np.unique(rng.integers(0, 2 ** 64, 64, dtype=np.uint64))
+            values = rng.standard_normal(len(codes)) + 1j * rng.standard_normal(len(codes))
+            c = CoefficientTensor._from_codes(32, codes, values, 0.0)
+            paths.append(write(tmp_path / f"{name}.pcoef", format_coefficients(c)))
+        with mock.patch.object(composition, "_MAX_OUTPUT_TERMS", 1000):
+            code, out, err = run_cli(capsys, "compose", *paths)
+        assert (code, out) == (2, "")
+        assert err == ("error: compose output has at least 4096 terms, "
+                       "past the limit of 1000\n")
 
     def test_gl4_overflow_reports_only_the_error(self, tmp_path):
         # in a fresh process, where numpy warnings reach stderr

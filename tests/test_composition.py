@@ -236,6 +236,33 @@ class TestKernelMatchesReference:
         # the output's codes and values take 24 bytes a term
         assert peak < 2 * 24 * len(out) + 2 ** 20
 
+    def test_output_past_its_limit_is_refused_before_the_accumulator(self):
+        # 2^20 distinct output codes of two random m = 32 tensors would take
+        # 24 MiB; the limit is 2.4 MB of terms
+        rng, limit = np.random.default_rng(32), 100_000
+
+        def operand():
+            codes = distinct_codes(rng.integers(0, 2 ** 64, 1024, dtype=np.uint64))
+            values = rng.standard_normal(len(codes)) + 1j * rng.standard_normal(len(codes))
+            return CoefficientTensor._from_codes(32, codes, values, 0.0)
+
+        a, b = operand(), operand()
+        compose(a, CoefficientTensor(32, {(0,) * 32: 1.0}))  # first-call setup
+        error = None
+        with mock.patch.object(composition, "_MAX_OUTPUT_TERMS", limit):
+            tracemalloc.start()
+            try:
+                compose(a, b, tol=0.0)
+            except DimensionError as exc:
+                error = str(exc)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+        found = re.fullmatch(r"compose output has at least (\d+) terms, "
+                             r"past the limit of 100000", str(error))
+        assert found and int(found.group(1)) > limit
+        assert peak < 3 * 24 * limit
+
     def test_rejects_nan_tol(self):
         a = indicator((1,))
         with pytest.raises(DomainError):

@@ -151,6 +151,10 @@ row_cut_exclusive = rewritten(indexing._block_stack, "i < row_cut", "i <= row_cu
 # the last), so only a stack of two or more shapes sees it
 places_of_next_shape = rewritten(indexing._lex_stack, "_places(shapes).T[:, ids]",
                                  "np.roll(_places(shapes), -1, axis=0).T[:, ids]")
+# the forward branch names each row band the other one
+row_halves_swapped = rewritten(indexing._block_stack,
+                               "np.where(low_row, Half.LOW, Half.HIGH)",
+                               "np.where(low_row, Half.HIGH, Half.LOW)")
 
 
 class Mutant(NamedTuple):
@@ -245,9 +249,16 @@ MUTANTS = [
            ((verify, "_lex_stack", places_of_next_shape),
             (indexing, "_lex_stack", places_of_next_shape)),
            frozenset({"bijection"})),
-    Mutant("block map Half table swapped",
-           ((indexing, "_HALVES", indexing._HALVES[::-1].copy()),),
+    Mutant("block map names the row bands the other way round",
+           ((verify, "_block_stack", row_halves_swapped),
+            (indexing, "_block_stack", row_halves_swapped)),
            frozenset({"bijection"})),
+    Mutant("compose skips its output limit",
+           ((composition, "_merged", rewritten(
+               composition._merged, "len(codes) > _MAX_OUTPUT_TERMS", "False")),),
+           frozenset(),
+           test_composition.TestKernelMatchesReference()
+           .test_output_past_its_limit_is_refused_before_the_accumulator),
     Mutant("the writer tries one digit fewer only when s >= 100, as the JDK does",
            ((fileio, "_shortest", rewritten(fileio._shortest, "(s >= 10)", "(s >= 100)")),),
            frozenset(),
@@ -344,3 +355,12 @@ def test_closed_form_detail_counts_only_what_passed():
     assert re.fullmatch(
         r"suite closed-form: FAIL 25/90 \(families 1, exhaustive antisym pairs 24, "
         r"random antisym pairs 0 \(worst error \d\.\d{3}e[+-]\d\d\)\)", line), line
+
+
+def test_lex_part_sees_a_digit_order_wrong_both_ways():
+    # a fastest-first radix round-trips too; the independent digits catch it
+    fastest, = (m for m in MUTANTS
+                if m.name == "lex place values built fastest factor first")
+    with applied(fastest):
+        suite, = (s for s in run_verification(0).suites if s.name == "bijection")
+    assert int(re.search(r"\blex (\d+),", suite.detail).group(1)) < 18321
